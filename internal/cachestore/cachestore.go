@@ -1,9 +1,9 @@
 // Package cachestore is NChecker's persistent, content-addressed scan
-// cache: an on-disk store of serialized scan results and per-class taint
-// summaries, keyed by SHA-256 over the inputs that determine them (the
-// app's container bytes, the apimodel registry fingerprint, the engine
-// version, and the analysis options — see internal/checkers/cache.go for
-// the key anatomy and DESIGN.md §7 for the invalidation rules).
+// cache: an on-disk store of serialized whole-app scan results, keyed by
+// SHA-256 over the inputs that determine them (the app's container bytes,
+// the apimodel registry fingerprint, the engine version, and the analysis
+// options — see internal/checkers/cache.go for the key anatomy and
+// DESIGN.md §7 for the invalidation rules).
 //
 // The store is crash-safe and self-healing by construction:
 //
@@ -37,15 +37,12 @@ import (
 	"time"
 )
 
-// Entry kinds: the first byte of a Key and of the entry envelope. A key's
-// kind is part of its filename, so result and summary entries can never
-// shadow each other even under a hash collision across kinds.
-const (
-	// KindResult is a whole-app scan result (ResultEntry).
-	KindResult byte = 'r'
-	// KindSummary is one app class's taint summaries (SummaryEntry).
-	KindSummary byte = 's'
-)
+// KindResult is the one entry kind: a whole-app scan result
+// (ResultEntry). The kind is the first byte of a Key, of its filename and
+// of the entry envelope; envelopes and names of any other kind (such as
+// the per-class summary entries older engines wrote, named "s-<hex>.nce")
+// are rejected, and such leftovers simply age out under the LRU bound.
+const KindResult byte = 'r'
 
 // DefaultMaxBytes is the default LRU size bound (256 MiB).
 const DefaultMaxBytes int64 = 256 << 20

@@ -88,8 +88,8 @@ func TestKeyInvalidation(t *testing.T) {
 		})
 	}
 	// The kind byte partitions the keyspace too.
-	if k := NewKey(KindSummary, base[0], base[1], base[2], base[3]); k == baseKey {
-		t.Fatalf("summary key equals result key for identical parts")
+	if k := NewKey('s', base[0], base[1], base[2], base[3]); k == baseKey {
+		t.Fatalf("foreign-kind key equals result key for identical parts")
 	}
 }
 
@@ -163,13 +163,13 @@ func writeRaw(t *testing.T, path string, data []byte) {
 }
 
 // TestKindMismatchIsCorrupt: an entry stored under a result key but
-// carrying a summary envelope (or vice versa) is corruption.
+// carrying an envelope of another kind is corruption.
 func TestKindMismatchIsCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Options{})
 	key := NewKey(KindResult, []byte("app"))
-	// Forge a valid summary-kind envelope at the result key's path.
-	writeRaw(t, filepath.Join(dir, key.Filename()), EncodeEntry(KindSummary, []byte("payload")))
+	// Forge a checksummed foreign-kind envelope at the result key's path.
+	writeRaw(t, filepath.Join(dir, key.Filename()), EncodeEntry('s', []byte("payload")))
 	if _, status := s.Get(key); status != StatusCorrupt {
 		t.Fatalf("Get on kind-mismatched entry = %v, want corrupt", status)
 	}
@@ -390,7 +390,7 @@ func TestEvictionTieBreakDeterministic(t *testing.T) {
 }
 
 func TestFilenameShape(t *testing.T) {
-	k := NewKey(KindSummary, []byte("x"))
+	k := NewKey(KindResult, []byte("x"))
 	name := k.Filename()
 	if filepath.Base(name) != name {
 		t.Fatalf("Filename %q contains path separators", name)

@@ -10,12 +10,11 @@ import (
 
 	"repro/internal/android"
 	"repro/internal/apimodel"
-	"repro/internal/dataflow"
 	"repro/internal/jimple"
 	"repro/internal/report"
 )
 
-// The entry envelope and the two payload codecs. Entries are untrusted
+// The entry envelope and the result payload codec. Entries are untrusted
 // input (any process can write to the cache directory, and crashed
 // writers can truncate files mid-entry), so decoding is defensive end to
 // end: a checksummed envelope rejects damage cheaply, and the payload
@@ -61,7 +60,7 @@ func DecodeEntry(data []byte) (kind byte, payload []byte, err error) {
 		return 0, nil, errCorrupt
 	}
 	kind = data[4]
-	if kind != KindResult && kind != KindSummary {
+	if kind != KindResult {
 		return 0, nil, errCorrupt
 	}
 	n := binary.LittleEndian.Uint32(data[5:])
@@ -86,18 +85,6 @@ type ResultEntry struct {
 	Reports    []report.Report
 	Counters   []int64
 	Libs       []string
-}
-
-// MethodSummary pairs one method's signature key with its taint summary.
-type MethodSummary struct {
-	Key     string
-	Summary *dataflow.TaintSummary
-}
-
-// SummaryEntry is one app class's taint summaries, keyed by method.
-type SummaryEntry struct {
-	Class   string
-	Methods []MethodSummary
 }
 
 // EncodeResultEntry serializes a result payload (wrap with EncodeEntry
@@ -144,34 +131,6 @@ func DecodeResultEntry(payload []byte) (*ResultEntry, error) {
 		e.Libs = make([]string, n)
 		for i := range e.Libs {
 			e.Libs[i] = r.str()
-		}
-	}
-	return e, r.finish()
-}
-
-// EncodeSummaryEntry serializes a class-summary payload (wrap with
-// EncodeEntry under KindSummary before storing). Every MethodSummary must
-// carry a non-nil Summary.
-func EncodeSummaryEntry(e *SummaryEntry) []byte {
-	w := newWriter()
-	w.str(e.Class)
-	w.uvarint(uint64(len(e.Methods)))
-	for i := range e.Methods {
-		w.str(e.Methods[i].Key)
-		w.summary(e.Methods[i].Summary)
-	}
-	return w.buf
-}
-
-// DecodeSummaryEntry parses a class-summary payload.
-func DecodeSummaryEntry(payload []byte) (*SummaryEntry, error) {
-	r := &reader{buf: payload}
-	e := &SummaryEntry{Class: r.str()}
-	if n := r.sliceLen(); n > 0 {
-		e.Methods = make([]MethodSummary, n)
-		for i := range e.Methods {
-			e.Methods[i].Key = r.str()
-			e.Methods[i].Summary = r.summary()
 		}
 	}
 	return e, r.finish()
@@ -235,34 +194,6 @@ func (w *writer) reportValue(r *report.Report) {
 	w.boolean(r.DefaultCaused)
 	w.str(r.Validation)
 	w.str(r.ValidationNote)
-}
-
-func (w *writer) calls(cs []dataflow.SummaryCall) {
-	w.uvarint(uint64(len(cs)))
-	for i := range cs {
-		w.sig(cs[i].Callee)
-		w.uvarint(uint64(len(cs[i].Args)))
-		for _, a := range cs[i].Args {
-			w.boolean(a.Known)
-			w.varint(a.V)
-		}
-	}
-}
-
-func (w *writer) summary(s *dataflow.TaintSummary) {
-	w.uvarint(uint64(s.Inputs))
-	w.uvarint(s.RetFrom)
-	w.uvarint(s.Escapes)
-	w.uvarint(s.Uses)
-	w.uvarint(s.ValidatedAllPaths)
-	w.uvarint(s.UncheckedUse)
-	for _, m := range s.StateFrom {
-		w.uvarint(m)
-	}
-	for _, cs := range s.CallsOn {
-		w.calls(cs)
-	}
-	w.calls(s.CallsOnRet)
 }
 
 // --- reader -----------------------------------------------------------------
@@ -406,52 +337,4 @@ func (r *reader) reportValue(out *report.Report) {
 	out.DefaultCaused = r.boolean()
 	out.Validation = r.str()
 	out.ValidationNote = r.str()
-}
-
-func (r *reader) calls() []dataflow.SummaryCall {
-	n := r.sliceLen()
-	if n == 0 {
-		return nil
-	}
-	out := make([]dataflow.SummaryCall, n)
-	for i := range out {
-		out[i].Callee = r.sig()
-		if na := r.sliceLen(); na > 0 {
-			out[i].Args = make([]dataflow.SummaryArg, na)
-			for j := range out[i].Args {
-				out[i].Args[j].Known = r.boolean()
-				out[i].Args[j].V = r.varint()
-			}
-		}
-	}
-	return out
-}
-
-// maxSummaryInputs mirrors dataflow's bound: Inputs beyond it cannot come
-// from a real summary, so larger values are corruption.
-const maxSummaryInputs = 64
-
-func (r *reader) summary() *dataflow.TaintSummary {
-	s := &dataflow.TaintSummary{Inputs: r.count()}
-	if s.Inputs > maxSummaryInputs {
-		r.fail("summary inputs")
-		return s
-	}
-	s.RetFrom = r.uvarint()
-	s.Escapes = r.uvarint()
-	s.Uses = r.uvarint()
-	s.ValidatedAllPaths = r.uvarint()
-	s.UncheckedUse = r.uvarint()
-	if s.Inputs > 0 {
-		s.StateFrom = make([]uint64, s.Inputs)
-		for i := range s.StateFrom {
-			s.StateFrom[i] = r.uvarint()
-		}
-		s.CallsOn = make([][]dataflow.SummaryCall, s.Inputs)
-		for i := range s.CallsOn {
-			s.CallsOn[i] = r.calls()
-		}
-	}
-	s.CallsOnRet = r.calls()
-	return s
 }

@@ -97,7 +97,7 @@ func TestConcurrentSharedDistinctDirs(t *testing.T) {
 				return
 			}
 			for i := 0; i < 40; i++ {
-				key := NewKey(KindSummary, []byte(fmt.Sprintf("g%d-%d", g, i%5)))
+				key := NewKey(KindResult, []byte(fmt.Sprintf("g%d-%d", g, i%5)))
 				if _, err := s.Put(key, payload); err != nil {
 					t.Errorf("Put: %v", err)
 					return

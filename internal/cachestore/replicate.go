@@ -58,7 +58,7 @@ func ParseFilename(name string) (Key, bool) {
 	if len(name) != 2+2*len(k.Sum)+len(entryExt) || !strings.HasSuffix(name, entryExt) {
 		return k, false
 	}
-	if name[0] != KindResult && name[0] != KindSummary {
+	if name[0] != KindResult {
 		return k, false
 	}
 	if name[1] != '-' {

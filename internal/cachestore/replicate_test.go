@@ -36,12 +36,9 @@ func (m *memReplicator) Push(name string, data []byte) {
 }
 
 func TestParseFilenameRoundTrip(t *testing.T) {
-	for _, kind := range []byte{KindResult, KindSummary} {
-		key := NewKey(kind, []byte("some identity"))
-		got, ok := ParseFilename(key.Filename())
-		if !ok || got != key {
-			t.Errorf("ParseFilename(%q) = %v %v, want %v", key.Filename(), got, ok, key)
-		}
+	key := NewKey(KindResult, []byte("some identity"))
+	if got, ok := ParseFilename(key.Filename()); !ok || got != key {
+		t.Errorf("ParseFilename(%q) = %v %v, want %v", key.Filename(), got, ok, key)
 	}
 	for _, bad := range []string{
 		"", "r-.nce", "x-" + NewKey(KindResult, nil).Filename()[2:], // unknown kind
@@ -108,8 +105,8 @@ func TestPutPushesToReplicator(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.SetReplicator(repl)
-	key := NewKey(KindSummary, []byte("class"))
-	payload := []byte("summaries")
+	key := NewKey(KindResult, []byte("app"))
+	payload := []byte("result")
 	if _, err := a.Put(key, payload); err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +138,7 @@ func TestCorruptRemoteEntryIsAMiss(t *testing.T) {
 	for name, bad := range map[string][]byte{
 		"truncated":     good[:len(good)-3],
 		"bitflip":       append(append([]byte{}, good[:8]...), append([]byte{good[8] ^ 0x40}, good[9:]...)...),
-		"wrong kind":    EncodeEntry(KindSummary, []byte("payload")),
+		"wrong kind":    EncodeEntry('s', []byte("payload")),
 		"empty":         {},
 		"garbage bytes": []byte("not an envelope at all"),
 	} {
@@ -172,7 +169,7 @@ func TestPutEnvelopeValidates(t *testing.T) {
 	if err := hub.PutEnvelope(key.Filename(), good[:4]); err == nil {
 		t.Error("PutEnvelope accepted a truncated envelope")
 	}
-	if err := hub.PutEnvelope(key.Filename(), EncodeEntry(KindSummary, []byte("payload"))); err == nil {
+	if err := hub.PutEnvelope(key.Filename(), EncodeEntry('s', []byte("payload"))); err == nil {
 		t.Error("PutEnvelope accepted a kind-mismatched envelope")
 	}
 	if hub.Len() != 0 {

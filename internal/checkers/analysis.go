@@ -22,7 +22,6 @@ package checkers
 
 import (
 	"context"
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"runtime"
@@ -324,20 +323,12 @@ type analysis struct {
 	vstats ValidateStats
 
 	// Persistent-cache state (cache.go). The cache stages run at
-	// sequential points of the pipeline — probe before build, seed before
-	// summaries, write after merge — so none of this needs locking.
-	store          *cachestore.Store
-	resultKey      cachestore.Key
-	haveResultKey  bool
-	manifestHash   [sha256.Size]byte
-	seeds          map[string]*dataflow.TaintSummary
-	seededClasses  map[string]bool
-	classOfMethod  map[string]string
-	methodsOfClass map[string][]string
-	cacheClasses   []string
-	classHashes    map[string][sha256.Size]byte
-	closureMemo    map[string][sha256.Size]byte
-	sstats         storeStats
+	// sequential points of the pipeline — probe before build, write after
+	// merge — so none of this needs locking.
+	store         *cachestore.Store
+	resultKey     cachestore.Key
+	haveResultKey bool
+	sstats        storeStats
 	// hitAppMethods/hitSites carry the cached per-app diagnostics counts
 	// on a full result hit (the scan skips discovery, so a.methods and
 	// a.sites stay empty).
@@ -441,9 +432,9 @@ func (a *analysis) parallelFor(stage string, n int, fn func(int)) {
 // collectAppMethods returns the app's own body-bearing methods, sorted by
 // key. In targeted mode only methods of demanded classes are collected:
 // every consumer of a.methods (discovery, retry loops, guard-site scans,
-// summary roots, the summary cache's class index) provably produces
-// identical reports over this subset — see targeted.go for the closure
-// rules and DESIGN.md §9 for the equivalence argument.
+// summary roots) provably produces identical reports over this subset —
+// see targeted.go for the closure rules and DESIGN.md §9 for the
+// equivalence argument.
 func (a *analysis) collectAppMethods() []*jimple.Method {
 	var out []*jimple.Method
 	for _, c := range a.app.Program.Classes() {
@@ -508,10 +499,6 @@ func (a *analysis) configureSummaries() {
 			ReachDefs:       a.ctx.ReachDefs,
 			ConstProp:       a.ctx.ConstProp,
 			Cancel:          a.scanCtx.Err,
-			// Seeds is read here, at producer-invocation time: the cacheseed
-			// stage has populated a.seeds by the time the summaries stage
-			// forces the computation.
-			Seeds: a.seeds,
 			// Roots restricts the computation to the demanded sub-condensation
 			// in targeted mode; nil (full mode) keeps the whole-app bottom-up
 			// order.

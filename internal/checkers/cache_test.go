@@ -10,11 +10,11 @@ import (
 	"repro/internal/apimodel"
 	"repro/internal/apk"
 	"repro/internal/jimple"
+	"repro/internal/report"
 )
 
-// cacheTestApp returns a small interprocedural app: an activity whose
-// entry point routes a request through a helper, so both result caching
-// and summary caching have something to store.
+// cacheTestSrc is a small interprocedural app: an activity whose entry
+// point routes a request through a helper.
 const cacheTestSrc = `class t.Main extends android.app.Activity {
   method onCreate(android.os.Bundle)void {
     local c com.turbomanage.httpclient.BasicHttpClient
@@ -205,16 +205,19 @@ func TestCorruptEntriesFallBackCold(t *testing.T) {
 	}
 }
 
-// TestSummarySeedingOnChangedApp: adding a class to an app invalidates
-// the whole-app result entry but not the summary entries of untouched
-// classes — the rescan seeds those and matches an uncached scan exactly.
-func TestSummarySeedingOnChangedApp(t *testing.T) {
-	const extraClass = `
+// extraClass turns cacheTestSrc into a changed v2 of the same app.
+const extraClass = `
 class t.Extra extends java.lang.Object {
   method poke()void {
     return
   }
 }`
+
+// TestChangedAppRescansCold: adding a class to an app changes its bytes,
+// so v1's result entry cannot answer v2. The v2 scan probes once, misses,
+// runs the full analysis, writes its own result entry, and matches an
+// uncached scan exactly.
+func TestChangedAppRescansCold(t *testing.T) {
 	reg := apimodel.NewRegistry()
 	dir := t.TempDir()
 	opts := Options{Workers: 1, CacheDir: dir, CacheMode: CacheRW}
@@ -227,26 +230,125 @@ class t.Extra extends java.lang.Object {
 	v2src := cacheTestSrc + extraClass
 	baseline := Analyze(cacheTestApp(t, v2src), reg, Options{Workers: 1})
 	v2 := Analyze(cacheTestApp(t, v2src), reg, opts)
-	assertSameFindings(t, v2, baseline, "seeded v2 vs uncached v2")
+	assertSameFindings(t, v2, baseline, "v2 over v1's cache vs uncached v2")
 	c := v2.Diagnostics.Cache
-	if c.SummariesSeeded == 0 {
-		t.Fatalf("v2 scan seeded no summaries: %+v", c)
+	if c.StoreProbes != 1 || c.StoreMisses != 1 || c.StorePuts != 1 || c.StoreHits != 0 {
+		t.Fatalf("v2 store stats: %d probes, %d misses, %d puts, %d hits; want 1, 1, 1, 0",
+			c.StoreProbes, c.StoreMisses, c.StorePuts, c.StoreHits)
 	}
 	if v2.Diagnostics.Stage("discover") == nil {
 		t.Fatalf("v2 scan short-circuited despite changed app bytes")
 	}
 }
 
-// TestCacheDisabledByDefault: without CacheDir the pipeline never touches
-// the store and diagnostics stay all-zero.
+// TestCacheDisabledByDefault: without CacheDir, or with a directory under
+// -cache-mode=off, the pipeline never touches the store and diagnostics
+// stay all-zero.
 func TestCacheDisabledByDefault(t *testing.T) {
-	res := Analyze(cacheTestApp(t, cacheTestSrc), apimodel.NewRegistry(), Options{Workers: 1})
-	c := res.Diagnostics.Cache
-	if c.StoreProbes != 0 || c.StorePuts != 0 || c.StoreHits != 0 {
-		t.Fatalf("cache-off scan touched the store: %+v", c)
+	for _, opts := range []Options{
+		{Workers: 1},
+		{Workers: 1, CacheDir: t.TempDir(), CacheMode: CacheOff},
+	} {
+		res := Analyze(cacheTestApp(t, cacheTestSrc), apimodel.NewRegistry(), opts)
+		c := res.Diagnostics.Cache
+		if c.StoreProbes != 0 || c.StorePuts != 0 || c.StoreHits != 0 {
+			t.Fatalf("cache-off scan (dir=%q) touched the store: %+v", opts.CacheDir, c)
+		}
+		if res.Diagnostics.Stage("cacheprobe") != nil {
+			t.Fatalf("cache-off scan (dir=%q) ran the cacheprobe stage", opts.CacheDir)
+		}
 	}
-	if res.Diagnostics.Stage("cacheprobe") != nil {
-		t.Fatalf("cache-off scan ran the cacheprobe stage")
+}
+
+// TestNoDigestWorkWithCacheOff: the app content digest is only needed for
+// the result key, so a cache-off scan never takes it. Digest() memoizes,
+// so whether a scan took it shows after the fact: swap the app's program
+// and see whether Digest() still returns the pre-swap value.
+func TestNoDigestWorkWithCacheOff(t *testing.T) {
+	reg := apimodel.NewRegistry()
+	swapped, err := cacheTestApp(t, cacheTestSrc+extraClass).Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	digestTaken := func(opts Options) (bool, CacheStats) {
+		app := cacheTestApp(t, cacheTestSrc)
+		res := Analyze(app, reg, opts)
+		app.Program = cacheTestApp(t, cacheTestSrc+extraClass).Program
+		d, err := app.Digest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d != swapped, res.Diagnostics.Cache
+	}
+	for _, opts := range []Options{
+		{Workers: 1},
+		{Workers: 1, CacheDir: t.TempDir(), CacheMode: CacheOff},
+	} {
+		taken, c := digestTaken(opts)
+		if taken {
+			t.Errorf("cache-off scan (dir=%q) computed the app digest", opts.CacheDir)
+		}
+		if c.StoreProbes != 0 {
+			t.Errorf("cache-off scan (dir=%q) probed the store %d times, want 0", opts.CacheDir, c.StoreProbes)
+		}
+	}
+	taken, c := digestTaken(Options{Workers: 1, CacheDir: t.TempDir(), CacheMode: CacheRW})
+	if !taken || c.StoreProbes != 1 {
+		t.Fatalf("rw scan: digest taken=%v, %d probes; want the digest and 1 probe (the check above is dead)", taken, c.StoreProbes)
+	}
+}
+
+// leftoverSummaryFile is a per-class summary entry for cacheTestSrc,
+// written by the engine that still had the summary cache. Cache
+// directories from that engine hold such entries next to result entries.
+const leftoverSummaryFile = "s-d84222752509ea408fad7ae43f340fb965e23d61a5d5f5215a81bc0446054e41.nce"
+
+// TestLeftoverSummariesIgnored: a scan over a directory holding a
+// leftover summary entry plus newer result entries never reads the
+// leftover. Its report is byte-identical to a cold scan, and the leftover
+// stays on disk, untouched, for LRU eviction.
+func TestLeftoverSummariesIgnored(t *testing.T) {
+	reg := apimodel.NewRegistry()
+	dir := t.TempDir()
+	leftover, err := os.ReadFile(filepath.Join("..", "cachestore", "testdata", "leftover", leftoverSummaryFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, leftoverSummaryFile), leftover, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Workers: 1, CacheDir: dir, CacheMode: CacheRW}
+	if other := Analyze(cacheTestApp(t, cacheTestSrc+extraClass), reg, opts); other.Diagnostics.Cache.StorePuts != 1 {
+		t.Fatalf("writing a newer result entry: %+v", other.Diagnostics.Cache)
+	}
+
+	cold := Analyze(cacheTestApp(t, cacheTestSrc), reg, Options{Workers: 1})
+	for _, label := range []string{"first scan", "warm rescan"} {
+		res := Analyze(cacheTestApp(t, cacheTestSrc), reg, opts)
+		assertSameFindings(t, res, cold, label+" over leftover vs cold")
+		if got, want := report.RenderAll(res.Reports), report.RenderAll(cold.Reports); got != want {
+			t.Errorf("%s: rendered report differs from a cold scan:\n got %s\nwant %s", label, got, want)
+		}
+		if c := res.Diagnostics.Cache; c.StoreProbes != 1 || c.StoreCorrupt != 0 {
+			t.Errorf("%s: %d probes, %d corrupt; want 1 probe and no corruption", label, c.StoreProbes, c.StoreCorrupt)
+		}
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, leftoverSummaryFile)); err != nil || string(got) != string(leftover) {
+		t.Errorf("leftover entry was touched (err=%v)", err)
+	}
+}
+
+// TestResultKeyPinned pins the result-entry filename of a fixed app,
+// registry and option set. A drift here makes every existing warm cache
+// miss: it must come with an intended EngineVersion or key change.
+func TestResultKeyPinned(t *testing.T) {
+	const want = "r-f2e47e6165f47cb0261a4ebd6a6b7243dac08d8c4054c34e66ea2d2cdec10988.nce"
+	digest, err := cacheTestApp(t, cacheTestSrc).Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := resultCacheKey(digest, apimodel.NewRegistry(), Options{}).Filename(); got != want {
+		t.Fatalf("result key = %s, want %s", got, want)
 	}
 }
 
@@ -269,31 +371,5 @@ func TestParseCacheMode(t *testing.T) {
 		if tc.ok && got.String() != tc.in {
 			t.Errorf("CacheMode(%q).String() = %q", tc.in, got.String())
 		}
-	}
-}
-
-// TestNoDigestWorkWithCacheOff: digest work (a full per-class re-print
-// streamed into the hasher) exists only to address cache entries, so a
-// scan with the cache off — no directory, or a directory with
-// -cache-mode=off — must compute zero class digests. An rw scan over the
-// same app proves the counter is live.
-func TestNoDigestWorkWithCacheOff(t *testing.T) {
-	reg := apimodel.NewRegistry()
-	for _, opts := range []Options{
-		{Workers: 1},
-		{Workers: 1, CacheDir: t.TempDir(), CacheMode: CacheOff},
-	} {
-		res := Analyze(cacheTestApp(t, cacheTestSrc), reg, opts)
-		if n := res.Diagnostics.Cache.ClassDigests; n != 0 {
-			t.Errorf("cache-off scan (dir=%q) computed %d class digests, want 0", opts.CacheDir, n)
-		}
-		if n := res.Diagnostics.Cache.StoreProbes; n != 0 {
-			t.Errorf("cache-off scan (dir=%q) probed the store %d times, want 0", opts.CacheDir, n)
-		}
-	}
-	rw := Analyze(cacheTestApp(t, cacheTestSrc), reg,
-		Options{Workers: 1, CacheDir: t.TempDir(), CacheMode: CacheRW})
-	if rw.Diagnostics.Cache.ClassDigests == 0 {
-		t.Fatal("rw scan computed no class digests; the counter (or the digest path) is dead")
 	}
 }

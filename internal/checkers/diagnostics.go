@@ -44,19 +44,18 @@ type CacheStats struct {
 	FeasibleCFGComputed, FeasibleCFGRequests int
 	PrunedEdges                              int
 
-	// Persistent store (Options.CacheDir) traffic: entry probes and their
-	// outcomes, taint summaries seeded from summary-entry hits, and the
-	// write side. StoreCorrupt counts corrupt/truncated entries and
-	// in-cache panics, all of which degrade to cold computation. All zero
-	// when the persistent cache is off.
+	// Persistent store (Options.CacheDir) traffic: result-entry probes
+	// and their outcomes, and the write side. StoreCorrupt counts
+	// corrupt/truncated entries and in-cache panics, all of which degrade
+	// to cold computation. All zero when the persistent cache is off.
 	StoreProbes, StoreHits, StoreMisses, StoreCorrupt int
-	SummariesSeeded                                   int
 	StorePuts, StorePutErrors, StoreEvicted           int
-	// ClassDigests counts per-class content-digest computations (a full
-	// streamed re-print of the class into the hasher). Digest work exists
-	// only to address cache entries, so it must be zero whenever the
-	// persistent cache is off — TestNoDigestWorkWithCacheOff pins this.
-	ClassDigests int
+	// SummariesSeeded and ClassDigests are always 0. They counted the
+	// per-class summary cache, which was removed; the fields stay declared
+	// because the benchmark's per-layer trace (perfbench/trace.go) still
+	// reads them, and are neither merged, exported by CounterMap, nor
+	// rendered.
+	SummariesSeeded, ClassDigests int
 }
 
 // CFGHits returns the number of CFG requests served from the cache.
@@ -227,19 +226,18 @@ func (d *Diagnostics) Merge(o Diagnostics) {
 	d.Cache.StoreHits += o.Cache.StoreHits
 	d.Cache.StoreMisses += o.Cache.StoreMisses
 	d.Cache.StoreCorrupt += o.Cache.StoreCorrupt
-	d.Cache.SummariesSeeded += o.Cache.SummariesSeeded
 	d.Cache.StorePuts += o.Cache.StorePuts
 	d.Cache.StorePutErrors += o.Cache.StorePutErrors
 	d.Cache.StoreEvicted += o.Cache.StoreEvicted
-	d.Cache.ClassDigests += o.Cache.ClassDigests
 	d.Errors = append(d.Errors, o.Errors...)
 }
 
 // CounterMap flattens every CacheStats counter into a stable snake_case
 // name → value map, the shape metric exporters (nchecker serve's /metrics)
 // consume. TestCacheStatsCounterMapComplete pins the contract: every
-// CacheStats field appears here, so a new counter cannot be added without
-// also being exported.
+// live CacheStats field appears here (the always-zero SummariesSeeded and
+// ClassDigests do not), so a new counter cannot be added without also
+// being exported.
 func (c CacheStats) CounterMap() map[string]int64 {
 	return map[string]int64{
 		"methods":                int64(c.Methods),
@@ -266,11 +264,9 @@ func (c CacheStats) CounterMap() map[string]int64 {
 		"store_hits":             int64(c.StoreHits),
 		"store_misses":           int64(c.StoreMisses),
 		"store_corrupt":          int64(c.StoreCorrupt),
-		"summaries_seeded":       int64(c.SummariesSeeded),
 		"store_puts":             int64(c.StorePuts),
 		"store_put_errors":       int64(c.StorePutErrors),
 		"store_evicted":          int64(c.StoreEvicted),
-		"class_digests":          int64(c.ClassDigests),
 	}
 }
 
@@ -366,9 +362,9 @@ func (d Diagnostics) Render() string {
 		c.SummariesComputed, c.SummarySCCs, c.SummaryFixpointIters, c.SummaryRequests,
 		c.FeasibleCFGComputed, c.FeasibleCFGRequests, c.PrunedEdges)
 	if c.StoreProbes > 0 || c.StorePuts > 0 || c.StorePutErrors > 0 {
-		fmt.Fprintf(&b, "  store: %d probes (%d hits, %d misses, %d corrupt), %d summaries seeded, %d class digests; %d puts (%d errors), %d evicted\n",
+		fmt.Fprintf(&b, "  store: %d probes (%d hits, %d misses, %d corrupt); %d puts (%d errors), %d evicted\n",
 			c.StoreProbes, c.StoreHits, c.StoreMisses, c.StoreCorrupt,
-			c.SummariesSeeded, c.ClassDigests, c.StorePuts, c.StorePutErrors, c.StoreEvicted)
+			c.StorePuts, c.StorePutErrors, c.StoreEvicted)
 	}
 	for i := range d.Errors {
 		fmt.Fprintf(&b, "  error: %v\n", &d.Errors[i])

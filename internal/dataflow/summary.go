@@ -105,16 +105,6 @@ type SummaryConfig struct {
 	// aborts the remaining work and ComputeSummaries returns the error
 	// (deadline cooperation for fault-tolerant scans).
 	Cancel func() error
-	// Seeds supplies already-converged summaries by method key (the
-	// persistent scan cache's partial hits). A seeded method is not
-	// recomputed: its summary enters the set as-is and its callers build
-	// on it. Seeds must be the exact values a cold run would converge to
-	// for the same bodies — the cache's content-addressed keys guarantee
-	// that. Inside a recursive SCC, seeds are only kept when the whole
-	// component is seeded; a partially seeded cycle is recomputed from
-	// scratch (a mid-cycle seed is only trustworthy alongside the
-	// co-converged values of its cycle peers).
-	Seeds map[string]*TaintSummary
 	// Roots, when non-nil, restricts the computation to the sub-condensation
 	// demanded by the given method keys: only SCCs inside the forward
 	// synchronous-call closure of Roots (intersected with the method set)
@@ -153,7 +143,6 @@ type SummaryStats struct {
 	SCCs               int // strongly connected components processed
 	MaxSCC             int // size of the largest (recursive) SCC
 	FixpointIterations int // extra passes spent converging recursive SCCs
-	Seeded             int // summaries taken from SummaryConfig.Seeds
 }
 
 // SummarySet holds the computed summaries of one scan. Lookups are safe
@@ -188,11 +177,10 @@ type SummaryResolver func(site int) []*TaintSummary
 // returned along with the error.
 func ComputeSummaries(cg *callgraph.Graph, methods []*jimple.Method, conf SummaryConfig) (*SummarySet, error) {
 	b := &summaryBuilder{
-		cg:     cg,
-		conf:   conf,
-		inSet:  make(map[string]*jimple.Method, len(methods)),
-		seeded: make(map[string]bool),
-		set:    &SummarySet{sums: make(map[string]*TaintSummary, len(methods))},
+		cg:    cg,
+		conf:  conf,
+		inSet: make(map[string]*jimple.Method, len(methods)),
+		set:   &SummarySet{sums: make(map[string]*TaintSummary, len(methods))},
 	}
 	keys := make([]string, 0, len(methods))
 	for _, m := range methods {
@@ -205,13 +193,6 @@ func ComputeSummaries(cg *callgraph.Graph, methods []*jimple.Method, conf Summar
 	sort.Strings(keys)
 	if conf.Roots != nil {
 		keys = b.demandedClosure(keys, conf.Roots)
-	}
-	for _, k := range keys {
-		if sum := conf.Seeds[k]; sum != nil {
-			b.set.sums[k] = sum
-			b.seeded[k] = true
-			b.set.stats.Seeded++
-		}
 	}
 	sccs := b.condense(keys)
 	b.set.stats.SCCs = len(sccs)
@@ -228,11 +209,10 @@ func ComputeSummaries(cg *callgraph.Graph, methods []*jimple.Method, conf Summar
 }
 
 type summaryBuilder struct {
-	cg     *callgraph.Graph
-	conf   SummaryConfig
-	inSet  map[string]*jimple.Method
-	seeded map[string]bool // keys whose summary came from conf.Seeds
-	set    *SummarySet
+	cg    *callgraph.Graph
+	conf  SummaryConfig
+	inSet map[string]*jimple.Method
+	set   *SummarySet
 }
 
 // demandedClosure filters the sorted key list down to the forward EdgeCall
@@ -354,20 +334,8 @@ func (b *summaryBuilder) condense(keys []string) [][]string {
 
 // computeSCC summarizes one SCC's methods. A non-recursive singleton needs
 // one pass; a recursive component iterates to a fixpoint (facts only grow,
-// so comparing summaries detects convergence). Seeded members are not
-// recomputed — except inside a partially seeded recursive component,
-// where the seeds are dropped and the whole cycle converges fresh (see
-// SummaryConfig.Seeds).
+// so comparing summaries detects convergence).
 func (b *summaryBuilder) computeSCC(scc []string) error {
-	seededHere := 0
-	for _, k := range scc {
-		if b.seeded[k] {
-			seededHere++
-		}
-	}
-	if seededHere == len(scc) {
-		return nil
-	}
 	recursive := len(scc) > 1
 	if !recursive {
 		for _, e := range b.cg.OutEdges(scc[0]) {
@@ -377,21 +345,9 @@ func (b *summaryBuilder) computeSCC(scc []string) error {
 			}
 		}
 	}
-	if recursive && seededHere > 0 {
-		for _, k := range scc {
-			if b.seeded[k] {
-				delete(b.set.sums, k)
-				delete(b.seeded, k)
-				b.set.stats.Seeded--
-			}
-		}
-	}
 	for iter := 0; ; iter++ {
 		changed := false
 		for _, k := range scc {
-			if b.seeded[k] {
-				continue
-			}
 			if b.conf.Cancel != nil {
 				if err := b.conf.Cancel(); err != nil {
 					return err

@@ -236,6 +236,11 @@ func (p *parser) parseMethod(class string) (*Method, error) {
 	if err != nil {
 		return nil, p.errf(ln, "bad method signature %q: %v", toks[0], err)
 	}
+	if sig.Class != class {
+		// A '(' in the class name shifts where the key splits, so the
+		// method would print back under a different signature.
+		return nil, p.errf(ln, "bad method signature %q in class %q", toks[0], class)
+	}
 	m.Sig = sig
 	hasBody := len(toks) > 1 && toks[1] == "{"
 	p.pos++

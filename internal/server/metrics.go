@@ -37,7 +37,7 @@ import (
 //	nchecker_app_methods_total               app methods scanned
 //	nchecker_request_sites_total             request sites discovered
 //	nchecker_cache_<counter>_total           every checkers.CacheStats counter
-//	                                         (store_hits, store_misses, summaries_seeded, ...)
+//	                                         (store_hits, store_misses, store_puts, ...)
 //	nchecker_targeted_<counter>_total        targeted-engine work counters
 //	                                         (seed_methods, closure_methods, closure_classes,
 //	                                         classes_decoded, classes_skipped)
