@@ -5,18 +5,35 @@
 // options — see internal/checkers/cache.go for the key anatomy and
 // DESIGN.md §7 for the invalidation rules).
 //
+// The store is an append-only segment log. Each Store appends records
+// (segment.go) to a segment file it created itself and never writes to
+// any other file; an in-memory index maps each Key to the segment and
+// offset of its latest record. A local miss reads the tails that other
+// processes' segments grew since the last look, so their entries become
+// visible without any coordination beyond the filesystem. Files older
+// engines wrote (one file per entry) are never read; a store's first
+// commit unlinks them.
+//
 // The store is crash-safe and self-healing by construction:
 //
-//   - commits are atomic write-then-rename, so a crashed writer leaves at
-//     worst an orphaned temp file, never a half-written entry;
-//   - every entry is a checksummed envelope (codec.go); a truncated or
-//     bit-flipped entry decodes as corrupt, is deleted, and reads as a
-//     miss — the caller falls back to a cold scan and rewrites it;
-//   - the total size is LRU-bounded: Put evicts least-recently-used
-//     entries until under MaxBytes. Hits refresh recency twice: via mtime
-//     (durable, visible to other processes) and via an in-memory overlay
-//     (nanosecond-precise), so hot entries stay hot even on filesystems
-//     with coarse mtime granularity or when Chtimes fails.
+//   - a writer killed mid-append leaves a torn tail, which every reader
+//     takes as the end of that segment;
+//   - every record is checksummed twice: the entry envelope (codec.go)
+//     covers the payload, and the record header sum binds the key and
+//     length to it. A damaged record reads as corrupt, its segment is
+//     unlinked, and the caller falls back to a cold scan and rewrites it;
+//   - the total size is bounded by MaxBytes: once it is passed, whole
+//     segments are unlinked, oldest first. A hit on a record in an old
+//     segment is re-appended to the active segment by the store's next
+//     commit, so hot entries outlive the segment they were first written
+//     to; the read path itself never writes;
+//   - the segment count stays small: a store that starts a segment while
+//     more than mergeAt small segments lie in the directory copies their
+//     records into it and unlinks them, so a directory shared by many
+//     short-lived processes does not collect one segment per process;
+//   - a segment counts only while its name in the directory still
+//     resolves to the file the store has open, so a store whose directory
+//     was removed and recreated serves nothing from the removed files.
 //
 // Get/Put never return errors the caller must abort on: cache trouble
 // degrades to a cold scan, it does not fail the scan.
@@ -28,6 +45,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"sort"
@@ -38,18 +56,26 @@ import (
 )
 
 // KindResult is the one entry kind: a whole-app scan result
-// (ResultEntry). The kind is the first byte of a Key, of its filename and
-// of the entry envelope; envelopes and names of any other kind (such as
-// the per-class summary entries older engines wrote, named "s-<hex>.nce")
-// are rejected, and such leftovers simply age out under the LRU bound.
+// (ResultEntry). The kind is the first byte of a Key, of its filename, of
+// a record and of the entry envelope; envelopes of any other kind are
+// rejected.
 const KindResult byte = 'r'
 
-// DefaultMaxBytes is the default LRU size bound (256 MiB).
+// DefaultMaxBytes is the default size bound (256 MiB).
 const DefaultMaxBytes int64 = 256 << 20
 
-// entryExt suffixes committed entries; temp files never carry it, so a
-// crashed writer's leftovers are invisible to Get and to the LRU scan.
+// entryExt suffixes entry names (Key.Filename): the names the cache hub
+// serves entries under, and the names of the one-file-per-entry files
+// older engines wrote. The store no longer reads such files; it counts
+// them against MaxBytes and evicts them first.
 const entryExt = ".nce"
+
+// Segment files are named seg-<creation stamp, 16 hex>-<random, 8 hex>.ncs,
+// so lexical order is creation order: eviction takes the smallest names.
+const (
+	segPrefix = "seg-"
+	segExt    = ".ncs"
+)
 
 // Key addresses one cache entry: an entry kind plus a SHA-256 over the
 // entry's identity parts.
@@ -75,7 +101,7 @@ func NewKey(kind byte, parts ...[]byte) Key {
 	return k
 }
 
-// Filename is the entry's on-disk name within the store directory.
+// Filename is the entry's name on the cache hub's wire.
 func (k Key) Filename() string {
 	return fmt.Sprintf("%c-%x%s", k.Kind, k.Sum, entryExt)
 }
@@ -88,49 +114,52 @@ const (
 	StatusMiss GetStatus = iota
 	// StatusHit: the entry decoded and checksummed clean.
 	StatusHit
-	// StatusCorrupt: an entry existed but failed envelope validation
-	// (truncated writer crash, bit rot, kind mismatch). The file has been
-	// removed; the caller should treat it as a miss and rescan cold.
+	// StatusCorrupt: a record existed but failed validation (bit rot, a
+	// file truncated under the store, a kind or key mismatch). Its
+	// segment has been unlinked; the caller should treat it as a miss and
+	// rescan cold.
 	StatusCorrupt
 )
 
 // Options tunes a Store.
 type Options struct {
-	// MaxBytes bounds the total committed-entry size; Put evicts the
-	// least-recently-used entries to stay under it. <= 0 means
-	// DefaultMaxBytes.
+	// MaxBytes bounds the total size of the files in the directory; a
+	// commit that passes it unlinks the oldest segments to get back under
+	// it. <= 0 means DefaultMaxBytes.
 	MaxBytes int64
 }
 
 // Store is one cache directory. All methods are safe for concurrent use
 // by multiple goroutines; concurrent processes sharing the directory are
-// safe too (atomic renames), though their LRU scans may race benignly.
+// safe too: each appends only to its own segments, and they meet only
+// through unlinks.
 type Store struct {
 	dir      string
 	maxBytes int64
 
-	// evictMu serializes eviction scans so concurrent Puts don't double-
-	// delete; commits themselves need no lock (rename is atomic).
-	evictMu sync.Mutex
-
-	// used approximates the committed-entry total so Put can stay O(1):
-	// initialized from one directory scan on the first Put, then bumped
-	// per commit. The approximation only ever errs high (overwrites and
-	// concurrent removals aren't subtracted), which at worst triggers an
-	// eviction scan early — the scan itself recomputes the true total.
-	usedInit sync.Once
-	used     atomic.Int64
-
-	// recency overlays the on-disk mtimes with the last time this process
-	// touched each entry (Get hit or Put commit). mtime alone is not a
-	// reliable LRU clock: coarse-granularity filesystems collapse a burst
-	// of hits into one tick, and Chtimes is best-effort — either way hot
-	// entries sort equal-or-older than cold ones and get evicted first.
-	// evict merges the overlay (taking the newer of overlay and mtime), so
-	// in-process recency always wins; entries touched only by other
-	// processes still order by their mtimes.
-	recMu   sync.Mutex
-	recency map[string]time.Time
+	// mu guards everything below it: the index, the open segments and
+	// the size total. File reads and appends happen under it; checksum
+	// validation of a read record does not.
+	mu    sync.Mutex
+	index map[Key]loc
+	segs  map[string]*segment
+	// active is the segment this store appends to; nil until the first
+	// commit, and again after it is rotated, damaged or unlinked.
+	active *segment
+	// used approximates the directory total so a commit can stay O(1):
+	// set from a directory listing, then bumped per append.
+	used int64
+	// listed is set once the directory has been listed and indexed.
+	listed bool
+	gen    uint64 // refresh generation, to find segments that vanished
+	// swept is set once the store has unlinked the older-engine files,
+	// at its first commit.
+	swept bool
+	// promote holds the hits on records in old segments; the next commit
+	// re-appends them to the active segment. Get queues them rather than
+	// appending, so a store that only reads (a read-only scan) never
+	// creates or unlinks a file on a hit.
+	promote map[Key]struct{}
 
 	// repl, when set, extends the store across processes: Get falls back
 	// to it on a local miss, Put pushes committed entries to it
@@ -139,17 +168,28 @@ type Store struct {
 	repl   Replicator
 }
 
-// touch records an in-process recency observation for the entry filename.
-func (s *Store) touch(name string, t time.Time) {
-	s.recMu.Lock()
-	if s.recency == nil {
-		s.recency = make(map[string]time.Time)
-	}
-	s.recency[name] = t
-	s.recMu.Unlock()
+// segment is one open segment file.
+type segment struct {
+	name, path string
+	f          *os.File
+	id         os.FileInfo // identity at open, for os.SameFile
+	// indexed is how far the segment has been indexed: for the active
+	// segment, everything this store wrote; for others, up to the first
+	// torn or damaged record.
+	indexed int64
+	keys    []Key // keys indexed here, to drop them with the segment
+	gen     uint64
 }
 
-// Open opens (creating if needed) the cache directory.
+// loc is where a key's latest record lives.
+type loc struct {
+	seg *segment
+	off int64
+	n   int64
+}
+
+// Open opens (creating if needed) the cache directory. It creates no
+// file: the first segment appears with the first commit.
 func Open(dir string, opts Options) (*Store, error) {
 	if dir == "" {
 		return nil, errors.New("cachestore: empty directory")
@@ -161,7 +201,13 @@ func Open(dir string, opts Options) (*Store, error) {
 	if max <= 0 {
 		max = DefaultMaxBytes
 	}
-	return &Store{dir: dir, maxBytes: max}, nil
+	return &Store{
+		dir:      dir,
+		maxBytes: max,
+		index:    make(map[Key]loc),
+		segs:     make(map[string]*segment),
+		promote:  make(map[Key]struct{}),
+	}, nil
 }
 
 var (
@@ -171,8 +217,10 @@ var (
 
 // Shared returns the process-wide Store for the directory, opening it on
 // first use. Batch scans hitting the same -cache directory share one
-// Store (one eviction lock) instead of opening it per app. The first
-// opener's Options win.
+// Store (one index, one active segment) instead of opening it per app.
+// The first opener's Options win. Opening a new directory also forgets
+// the stores whose directories no longer exist, so a process that works
+// through many short-lived cache directories holds only the live ones.
 func Shared(dir string, opts Options) (*Store, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
@@ -182,6 +230,12 @@ func Shared(dir string, opts Options) (*Store, error) {
 	defer sharedMu.Unlock()
 	if s, ok := shared[abs]; ok {
 		return s, nil
+	}
+	for d, st := range shared {
+		if _, err := os.Stat(d); errors.Is(err, fs.ErrNotExist) {
+			delete(shared, d)
+			st.closeFiles()
+		}
 	}
 	s, err := Open(abs, opts)
 	if err != nil {
@@ -194,29 +248,87 @@ func Shared(dir string, opts Options) (*Store, error) {
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Get looks the key up. On a hit it returns the entry payload and bumps
-// the entry's recency (mtime). A corrupt entry is deleted and reported as
-// StatusCorrupt; unreadable files read as misses. When a Replicator is
-// wired (SetReplicator), a local miss falls back to a remote fetch: a
-// clean fetched envelope is committed locally and answered as a hit, and
-// any replication trouble stays a plain miss.
+// rotateBytes is the size past which the active segment is retired and a
+// new one started: an eighth of the bound, so eviction frees the
+// directory in steps of about that size.
+func (s *Store) rotateBytes() int64 { return s.maxBytes / 8 }
+
+// Get looks the key up. On a hit it returns the entry payload. A corrupt
+// record is reported as StatusCorrupt and its segment unlinked. When a
+// Replicator is wired (SetReplicator), a local miss falls back to a
+// remote fetch: a clean fetched envelope is committed locally and
+// answered as a hit, and any replication trouble stays a plain miss.
 func (s *Store) Get(key Key) ([]byte, GetStatus) {
-	path := filepath.Join(s.dir, key.Filename())
-	data, err := os.ReadFile(path)
-	if err != nil {
+	env, status := s.get(key)
+	switch status {
+	case StatusMiss:
 		return s.getRemote(key)
+	case StatusHit:
+		return env[envelopeOverhead:], StatusHit
 	}
-	kind, payload, err := DecodeEntry(data)
-	if err != nil || kind != key.Kind {
-		// Corruption detection: a truncated or damaged entry must never
-		// surface as a result. Remove it so the next Put heals the slot.
-		os.Remove(path)
+	return nil, status
+}
+
+// get is the local lookup behind Get and GetEnvelope: it returns the
+// validated envelope of the key's record.
+func (s *Store) get(key Key) ([]byte, GetStatus) {
+	s.mu.Lock()
+	l, ok := s.index[key]
+	if ok {
+		if _, live := linked(l.seg); !live {
+			s.drop(l.seg)
+			ok = false
+		}
+	}
+	if !ok {
+		s.refresh()
+		if l, ok = s.index[key]; !ok {
+			s.mu.Unlock()
+			return nil, StatusMiss
+		}
+	}
+	rec := make([]byte, l.n)
+	_, err := l.seg.f.ReadAt(rec, l.off)
+	s.mu.Unlock()
+
+	var env []byte
+	if err == nil {
+		env, err = openRecord(rec, key)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err != nil {
+		// A damaged record must never surface as a result. Unlink its
+		// segment so no process reads it again; the next Put rewrites
+		// the entry.
+		if s.segs[l.seg.name] == l.seg {
+			if _, live := linked(l.seg); live {
+				os.Remove(l.seg.path)
+			}
+			s.drop(l.seg)
+		}
 		return nil, StatusCorrupt
 	}
-	now := time.Now()
-	os.Chtimes(path, now, now) // durable LRU recency; best-effort
-	s.touch(key.Filename(), now)
-	return payload, StatusHit
+	if s.index[key] == l && s.old(l.seg) {
+		s.promote[key] = struct{}{}
+	}
+	return env, StatusHit
+}
+
+// old reports whether seg sits in the older half of the bound: the
+// segments created after it hold at least maxBytes/2. A hit there is
+// queued for promotion so the entry is not evicted with its segment.
+func (s *Store) old(seg *segment) bool {
+	if seg == s.active {
+		return false
+	}
+	var newer int64
+	for _, o := range s.segs {
+		if o.name > seg.name {
+			newer += o.indexed
+		}
+	}
+	return newer >= s.maxBytes/2
 }
 
 // getRemote is Get's miss path: consult the Replicator, validate the
@@ -239,173 +351,496 @@ func (s *Store) getRemote(key Key) ([]byte, GetStatus) {
 		// and must not be committed.
 		return nil, StatusMiss
 	}
-	if _, err := s.commitRaw(key, data); err != nil {
-		// The payload itself is valid; serve it even if the local commit
-		// failed (e.g. a read-only filesystem) — replication must only
-		// ever add hits.
-		return payload, StatusHit
-	}
+	// The payload itself is valid; serve it even if the local commit
+	// failed (e.g. a read-only filesystem) — replication must only ever
+	// add hits.
+	s.commit(key, recordFromEnvelope(key, data))
 	return payload, StatusHit
 }
 
-// Put commits the payload under the key with write-then-rename atomicity,
-// then evicts LRU entries until the store is under its size bound. It
-// returns how many entries were evicted. A payload that alone exceeds the
-// bound is skipped (not an error): caching it would immediately evict
-// everything else. With a Replicator wired, a committed entry is also
-// pushed to the remote side (best-effort) so peers can hit it.
+// Put appends the payload's record under the key to the active segment,
+// then unlinks the oldest segments if the directory total passed its
+// bound. It returns how many files eviction unlinked, counting the
+// older-engine files the store's first commit sweeps. A payload that alone
+// exceeds the bound is skipped (not an error): caching it would
+// immediately evict everything else. With a Replicator wired, a
+// committed entry is also pushed to the remote side (best-effort) so
+// peers can hit it.
 func (s *Store) Put(key Key, payload []byte) (evicted int, err error) {
-	data := EncodeEntry(key.Kind, payload)
-	evicted, err = s.commitRaw(key, data)
+	rec := encodeRecord(key, payload)
+	evicted, err = s.commit(key, rec)
 	if err == nil {
 		if r := s.replicator(); r != nil {
-			r.Push(key.Filename(), data)
+			r.Push(key.Filename(), rec[recordHeader:])
 		}
 	}
 	return evicted, err
 }
 
-// commitRaw commits an already-encoded entry envelope. It is the shared
-// write path of Put, PutEnvelope, and remote-fetch commits; it never
+// commit appends an encoded record, after the promotions queued since
+// the last commit, then evicts if the directory total passed the bound.
+// It is the shared write path of Put, PutEnvelope, and remote-fetch
+// commits, and the only one: nothing else creates, appends to or unlinks
+// a file, apart from the unlink of a segment found damaged. It never
 // pushes to the Replicator, so hub writes and fetched-entry commits
 // cannot echo back out.
-func (s *Store) commitRaw(key Key, data []byte) (evicted int, err error) {
-	if int64(len(data)) > s.maxBytes {
+func (s *Store) commit(key Key, rec []byte) (evicted int, err error) {
+	if int64(len(rec)) > s.maxBytes {
 		return 0, nil
 	}
-	tmp, err := os.CreateTemp(s.dir, "put-*.tmp")
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.listed {
+		s.refresh()
+	}
+	if !s.swept {
+		s.swept = true
+		evicted = s.sweep()
+	}
+	s.promoteHits()
+	if err := s.append(key, rec); err != nil {
+		return evicted, err
+	}
+	if s.used > s.maxBytes {
+		evicted += s.evict()
+	}
+	return evicted, nil
+}
+
+// sweep unlinks the files older engines left: per-entry r-*.nce and
+// s-*.nce files and put-*.tmp temp files. This engine never reads them,
+// and while they are there every listing steps over them; a directory an
+// older engine used can hold tens of thousands. An older engine still
+// running on the directory loses its entries, which costs it misses.
+// It returns the number of files unlinked. Callers hold mu.
+func (s *Store) sweep() int {
+	d, err := os.Open(s.dir)
 	if err != nil {
-		return 0, fmt.Errorf("cachestore: %w", err)
+		return 0
 	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return 0, fmt.Errorf("cachestore: %w", err)
+	names, err := d.Readdirnames(-1)
+	d.Close()
+	if err != nil {
+		return 0
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return 0, fmt.Errorf("cachestore: %w", err)
-	}
-	if err := os.Rename(tmpName, filepath.Join(s.dir, key.Filename())); err != nil {
-		os.Remove(tmpName)
-		return 0, fmt.Errorf("cachestore: %w", err)
-	}
-	s.touch(key.Filename(), time.Now())
-	// The first commit pays for one directory scan (pre-existing entries
-	// plus crashed writers' stale temp files); after that Put is O(1) and
-	// the full LRU scan only runs when the running total crosses the
-	// bound.
-	s.usedInit.Do(func() { s.evict() })
-	if s.used.Add(int64(len(data))) > s.maxBytes {
-		return s.evict(), nil
-	}
-	return 0, nil
-}
-
-// Remove deletes the entry under the key, if present.
-func (s *Store) Remove(key Key) {
-	os.Remove(filepath.Join(s.dir, key.Filename()))
-	s.recMu.Lock()
-	delete(s.recency, key.Filename())
-	s.recMu.Unlock()
-}
-
-// Len returns the number of committed entries.
-func (s *Store) Len() int {
 	n := 0
-	ents, _ := os.ReadDir(s.dir)
-	for _, e := range ents {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), entryExt) {
+	for _, name := range names {
+		if isLegacy(name) && os.Remove(filepath.Join(s.dir, name)) == nil {
 			n++
 		}
 	}
 	return n
 }
 
-// evict removes least-recently-used entries until the committed total is
-// within maxBytes, and sweeps stale temp files from crashed writers. An
-// entry's recency is the newer of its mtime and this process's in-memory
-// overlay, so a burst of hits inside one coarse mtime tick (or with
-// Chtimes failing) still protects the hot entry; ties break
-// deterministically by filename. evict leaves s.used holding the
-// post-eviction true total. Returns the number of entries removed.
-func (s *Store) evict() int {
-	s.evictMu.Lock()
-	defer s.evictMu.Unlock()
-
-	type entry struct {
-		name  string
-		size  int64
-		mtime time.Time
-	}
-	var entries []entry
-	var total int64
-	dirents, err := os.ReadDir(s.dir)
-	if err != nil {
-		return 0
-	}
-	staleCutoff := time.Now().Add(-time.Hour)
-	for _, de := range dirents {
-		if de.IsDir() {
+// promoteHits re-appends the records of the queued hits that are still
+// in an old segment. A record is validated again before it is copied.
+// Callers hold mu.
+func (s *Store) promoteHits() {
+	for key := range s.promote {
+		delete(s.promote, key)
+		l, ok := s.index[key]
+		if !ok || !s.old(l.seg) {
 			continue
 		}
-		info, err := de.Info()
+		rec := make([]byte, l.n)
+		if _, err := l.seg.f.ReadAt(rec, l.off); err != nil {
+			continue
+		}
+		if _, err := openRecord(rec, key); err != nil {
+			continue
+		}
+		if s.append(key, rec) != nil {
+			return
+		}
+	}
+}
+
+// append writes rec to the active segment, starting a new segment when
+// there is none, when the active one has reached rotateBytes, or when it
+// is no longer exactly what this store wrote (unlinked, replaced, or
+// changed by someone else). Callers hold mu.
+func (s *Store) append(key Key, rec []byte) error {
+	a := s.active
+	if a != nil {
+		size, live := linked(a)
+		full := a.indexed > 0 && a.indexed+int64(len(rec)) > s.rotateBytes()
+		if full || !live || size != a.indexed {
+			s.active, a = nil, nil
+		}
+	}
+	if a == nil {
+		var err error
+		if a, err = s.create(); err != nil {
+			return err
+		}
+		s.active = a
+		if err := s.merge(); err != nil {
+			return err
+		}
+	}
+	off := a.indexed
+	if err := s.write(rec); err != nil {
+		return err
+	}
+	s.put(key, loc{seg: a, off: off, n: int64(len(rec))})
+	return nil
+}
+
+// write appends b to the active segment. Callers hold mu.
+func (s *Store) write(b []byte) error {
+	a := s.active
+	if _, err := a.f.Write(b); err != nil {
+		// A short write leaves a torn tail: retire the segment so nothing
+		// is appended after it, where readers would never look.
+		s.active = nil
+		return fmt.Errorf("cachestore: %w", err)
+	}
+	a.indexed += int64(len(b))
+	s.used += int64(len(b))
+	return nil
+}
+
+// mergeAt is how many small segments may lie in the directory before a
+// store starting a segment merges them into it. Every process that
+// commits starts a segment of its own, and a process's first miss opens
+// and scans every segment, so without merging a directory used by many
+// short-lived processes (one CLI run per app) would make each new
+// process pay for all the earlier ones.
+const mergeAt = 16
+
+// mergeBytes is the size below which a segment is small: a sixteenth of
+// the rotation size, so one merge copies at most about rotateBytes. The
+// segment count then stays below mergeAt small segments plus
+// maxBytes/mergeBytes = 128 larger ones.
+func (s *Store) mergeBytes() int64 { return s.rotateBytes() / mergeAt }
+
+// merge runs when the store has just started a segment. If more than
+// mergeAt small segments of other stores are indexed, it copies the
+// records the index points to in them (validated, oldest segment first)
+// into the new segment and unlinks them. The copies are younger than the
+// originals, as after a promotion. A record another process appends to a
+// segment while it is merged is lost with the segment; that costs a
+// miss, never a wrong result. Callers hold mu.
+func (s *Store) merge() error {
+	var small []*segment
+	for _, seg := range s.segs {
+		if seg != s.active && seg.indexed < s.mergeBytes() {
+			small = append(small, seg)
+		}
+	}
+	if len(small) <= mergeAt {
+		return nil
+	}
+	sort.Slice(small, func(i, j int) bool { return small[i].name < small[j].name })
+	type moved struct {
+		key    Key
+		off, n int64
+	}
+	var (
+		out    []byte
+		recs   []moved
+		merged []*segment
+		seen   = make(map[Key]bool)
+	)
+	for _, seg := range small {
+		if int64(len(out)) >= s.rotateBytes() {
+			break
+		}
+		buf := make([]byte, seg.indexed)
+		if _, err := seg.f.ReadAt(buf, 0); err != nil {
+			continue
+		}
+		for _, k := range seg.keys {
+			l := s.index[k]
+			if l.seg != seg || seen[k] {
+				continue
+			}
+			seen[k] = true
+			rec := buf[l.off : l.off+l.n]
+			if _, err := openRecord(rec, k); err != nil {
+				continue
+			}
+			recs = append(recs, moved{key: k, off: int64(len(out)), n: l.n})
+			out = append(out, rec...)
+		}
+		merged = append(merged, seg)
+	}
+	a := s.active
+	base := a.indexed
+	if err := s.write(out); err != nil {
+		return err
+	}
+	for _, m := range recs {
+		s.put(m.key, loc{seg: a, off: base + m.off, n: m.n})
+	}
+	for _, seg := range merged {
+		if size, live := linked(seg); live && os.Remove(seg.path) == nil {
+			s.used -= size
+		}
+		s.drop(seg)
+	}
+	return nil
+}
+
+// lastStamp keeps segment creation stamps strictly increasing within
+// the process, so lexical name order is creation order even when the
+// clock does not tick between two creations.
+var lastStamp atomic.Int64
+
+func nextStamp() int64 {
+	for {
+		last := lastStamp.Load()
+		now := time.Now().UnixNano()
+		if now <= last {
+			now = last + 1
+		}
+		if lastStamp.CompareAndSwap(last, now) {
+			return now
+		}
+	}
+}
+
+// create makes a new segment for this store to append to. O_EXCL makes
+// sure it is a file no one else has; names do not collide in practice.
+func (s *Store) create() (*segment, error) {
+	name := fmt.Sprintf("%s%016x-%08x%s", segPrefix, nextStamp(), rand.Uint32(), segExt)
+	path := filepath.Join(s.dir, name)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL|os.O_APPEND, 0o600)
+	if err != nil {
+		return nil, fmt.Errorf("cachestore: %w", err)
+	}
+	id, err := f.Stat()
+	if err != nil {
+		f.Close()
+		os.Remove(path)
+		return nil, fmt.Errorf("cachestore: %w", err)
+	}
+	seg := &segment{name: name, path: path, f: f, id: id, gen: s.gen}
+	s.segs[name] = seg
+	return seg, nil
+}
+
+// linked reports whether seg's name in the directory still resolves to
+// the file the store has open, and that file's size. An unlinked segment
+// (Nlink 0), or one whose directory was removed and recreated, is dead.
+func linked(seg *segment) (size int64, ok bool) {
+	fi, err := os.Lstat(seg.path)
+	if err != nil || !os.SameFile(seg.id, fi) {
+		return 0, false
+	}
+	return fi.Size(), true
+}
+
+// put points the index at a record.
+func (s *Store) put(key Key, l loc) {
+	s.index[key] = l
+	l.seg.keys = append(l.seg.keys, key)
+}
+
+// drop forgets a segment: its index entries, its file handle and, if it
+// was the active segment, the right to append to it. It does not touch
+// the file on disk.
+func (s *Store) drop(seg *segment) {
+	for _, k := range seg.keys {
+		if s.index[k].seg == seg {
+			delete(s.index, k)
+		}
+	}
+	seg.f.Close()
+	delete(s.segs, seg.name)
+	if s.active == seg {
+		s.active = nil
+	}
+}
+
+// closeFiles drops every segment; the store stays usable and relists
+// the directory on its next miss.
+func (s *Store) closeFiles() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, seg := range s.segs {
+		s.drop(seg)
+	}
+	clear(s.promote)
+	s.listed = false
+}
+
+// dirFile is one file in the cache directory that counts against the
+// bound.
+type dirFile struct {
+	name string
+	info os.FileInfo
+	seg  bool // a segment; otherwise a file from an older engine
+}
+
+// isSegment reports whether name is a segment file's name.
+func isSegment(name string) bool {
+	return strings.HasPrefix(name, segPrefix) && strings.HasSuffix(name, segExt)
+}
+
+// isLegacy reports whether name is the name of a file an older engine
+// wrote: a per-entry file (r-*.nce, s-*.nce) or a temp file.
+func isLegacy(name string) bool {
+	return strings.HasSuffix(name, entryExt) ||
+		strings.HasPrefix(name, "put-") && strings.HasSuffix(name, ".tmp")
+}
+
+// list returns the directory's segments and, with legacy set, the
+// older-engine files, sorted by name. The older-engine names all sort
+// before "seg-", so in this order they come first and the segments
+// follow oldest first. Only the files returned are stat'ed.
+func (s *Store) list(legacy bool) ([]dirFile, error) {
+	d, err := os.Open(s.dir)
+	if err != nil {
+		return nil, err
+	}
+	ents, err := d.ReadDir(-1)
+	d.Close()
+	if err != nil {
+		return nil, err
+	}
+	var files []dirFile
+	for _, e := range ents {
+		name := e.Name()
+		seg := isSegment(name)
+		if !e.Type().IsRegular() || !seg && !(legacy && isLegacy(name)) {
+			continue
+		}
+		info, err := e.Info()
 		if err != nil {
 			continue
 		}
-		if !strings.HasSuffix(de.Name(), entryExt) {
-			// A crashed writer's temp file: sweep it once it is clearly
-			// abandoned (an active writer renames within moments).
-			if strings.HasPrefix(de.Name(), "put-") && info.ModTime().Before(staleCutoff) {
-				os.Remove(filepath.Join(s.dir, de.Name()))
+		files = append(files, dirFile{name: name, info: info, seg: seg})
+	}
+	sort.Slice(files, func(i, j int) bool { return files[i].name < files[j].name })
+	return files, nil
+}
+
+// refresh lists the directory and brings the index up to date: segments
+// that vanished or were replaced are dropped, new segments are opened,
+// and every segment's unindexed tail is scanned. It also resets the size
+// total to the segments' total. Callers hold mu.
+func (s *Store) refresh() {
+	files, err := s.list(false)
+	if err != nil {
+		for _, seg := range s.segs {
+			s.drop(seg)
+		}
+		return
+	}
+	s.listed = true
+	s.gen++
+	var total int64
+	for _, f := range files {
+		total += f.info.Size()
+		seg := s.segs[f.name]
+		if seg != nil && (!os.SameFile(seg.id, f.info) || f.info.Size() < seg.indexed) {
+			s.drop(seg)
+			seg = nil
+		}
+		if seg == nil {
+			if seg = s.openSegment(f.name); seg == nil {
+				continue
 			}
-			continue
 		}
-		entries = append(entries, entry{name: de.Name(), size: info.Size(), mtime: info.ModTime()})
-		total += info.Size()
-	}
-	// Merge the in-memory recency overlay (newer wins) and prune overlay
-	// records for entries no other process left on disk.
-	s.recMu.Lock()
-	present := make(map[string]bool, len(entries))
-	for i := range entries {
-		present[entries[i].name] = true
-		if t, ok := s.recency[entries[i].name]; ok && t.After(entries[i].mtime) {
-			entries[i].mtime = t
+		seg.gen = s.gen
+		if f.info.Size() > seg.indexed && seg != s.active {
+			s.scan(seg, f.info.Size())
 		}
 	}
-	for name := range s.recency {
-		if !present[name] {
-			delete(s.recency, name)
+	for _, seg := range s.segs {
+		if seg.gen != s.gen {
+			s.drop(seg)
 		}
 	}
-	s.recMu.Unlock()
-	if total <= s.maxBytes {
-		s.used.Store(total)
+	s.used = total
+}
+
+// openSegment opens another store's segment for reading.
+func (s *Store) openSegment(name string) *segment {
+	path := filepath.Join(s.dir, name)
+	f, err := os.Open(path)
+	if err != nil {
+		return nil
+	}
+	id, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil
+	}
+	seg := &segment{name: name, path: path, f: f, id: id}
+	s.segs[name] = seg
+	return seg
+}
+
+// scan indexes the records of seg between its indexed offset and size,
+// stopping at the first torn or damaged record. A later record for a
+// key replaces an earlier one.
+func (s *Store) scan(seg *segment, size int64) {
+	var buf [recordScanSize]byte
+	off := seg.indexed
+	for {
+		key, n, ok := nextRecord(seg.f, off, size, &buf)
+		if !ok {
+			break
+		}
+		if key.Kind == KindResult {
+			s.put(key, loc{seg: seg, off: off, n: n})
+		}
+		off += n
+	}
+	seg.indexed = off
+}
+
+// Remove forgets the entry under the key. Its record stays on disk until
+// its segment is evicted; this store no longer serves it.
+func (s *Store) Remove(key Key) {
+	s.mu.Lock()
+	delete(s.index, key)
+	s.mu.Unlock()
+}
+
+// Len returns the number of entries the store can serve, after reading
+// what other processes appended.
+func (s *Store) Len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.refresh()
+	return len(s.index)
+}
+
+// evict unlinks files in list order until the directory total is within
+// maxBytes: older-engine files first, then segments oldest first, never
+// the active segment. Segment names are unique and ordered by creation,
+// so the order does not depend on mtimes. evict leaves used holding the
+// post-eviction total and returns the number of files unlinked. Callers
+// hold mu.
+func (s *Store) evict() int {
+	files, err := s.list(true)
+	if err != nil {
 		return 0
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		if !entries[i].mtime.Equal(entries[j].mtime) {
-			return entries[i].mtime.Before(entries[j].mtime)
-		}
-		return entries[i].name < entries[j].name
-	})
+	var total int64
+	for _, f := range files {
+		total += f.info.Size()
+	}
 	evicted := 0
-	for _, e := range entries {
+	for _, f := range files {
 		if total <= s.maxBytes {
 			break
 		}
-		err := os.Remove(filepath.Join(s.dir, e.name))
-		if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		if s.active != nil && f.name == s.active.name {
 			continue
 		}
-		s.recMu.Lock()
-		delete(s.recency, e.name)
-		s.recMu.Unlock()
-		total -= e.size
+		if err := os.Remove(filepath.Join(s.dir, f.name)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			continue
+		}
+		if seg := s.segs[f.name]; seg != nil {
+			s.drop(seg)
+		}
+		total -= f.info.Size()
 		evicted++
 	}
-	s.used.Store(total)
+	s.used = total
 	return evicted
 }

@@ -19,6 +19,27 @@ func mustOpen(t *testing.T, dir string, opts Options) *Store {
 	return s
 }
 
+// segments returns the paths of the segment files in dir, oldest first.
+func segments(t *testing.T, dir string) []string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, segPrefix+"*"+segExt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(paths)
+	return paths
+}
+
+// onlySegment returns the path of the one segment file in dir.
+func onlySegment(t *testing.T, dir string) string {
+	t.Helper()
+	paths := segments(t, dir)
+	if len(paths) != 1 {
+		t.Fatalf("%d segment files in %s, want 1", len(paths), dir)
+	}
+	return paths[0]
+}
+
 func TestPutGetRoundTrip(t *testing.T) {
 	s := mustOpen(t, t.TempDir(), Options{})
 	key := NewKey(KindResult, []byte("app"), []byte("reg"), []byte("v1"))
@@ -103,56 +124,75 @@ func TestKeyPartBoundaries(t *testing.T) {
 	}
 }
 
+// TestCorruptEntryDetectedAndHealed damages the segment under a live
+// store. Damage inside the record reads as corrupt and unlinks the
+// segment, so later probes miss until a Put rewrites the entry. Garbage
+// after the record is a torn tail: the record still serves, and the
+// store appends its next record to a new segment rather than behind the
+// garbage, where no reader would find it.
 func TestCorruptEntryDetectedAndHealed(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Options{})
 	key := NewKey(KindResult, []byte("app"))
-	if _, err := s.Put(key, []byte("some serialized result")); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	path := filepath.Join(dir, key.Filename())
+	payload := []byte("some serialized result")
 
 	corruptions := []struct {
 		name   string
-		mangle func(t *testing.T, data []byte)
+		mangle func(data []byte) []byte
 	}{
-		{"truncated mid-payload", func(t *testing.T, data []byte) {
-			writeRaw(t, path, data[:len(data)-5])
-		}},
-		{"payload bit flipped", func(t *testing.T, data []byte) {
-			data[len(data)-1] ^= 0x40
-			writeRaw(t, path, data)
-		}},
-		{"bad magic", func(t *testing.T, data []byte) {
-			data[0] = 'X'
-			writeRaw(t, path, data)
-		}},
-		{"trailing garbage", func(t *testing.T, data []byte) {
-			writeRaw(t, path, append(data, 0xFF))
-		}},
+		{"truncated mid-payload", func(data []byte) []byte { return data[:len(data)-5] }},
+		{"payload bit flipped", func(data []byte) []byte { data[len(data)-1] ^= 0x40; return data }},
+		{"bad magic", func(data []byte) []byte { data[0] = 'X'; return data }},
 	}
 	for _, tc := range corruptions {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := s.Put(key, []byte("some serialized result")); err != nil {
+			if _, err := s.Put(key, payload); err != nil {
 				t.Fatalf("Put: %v", err)
 			}
+			path := onlySegment(t, dir)
 			data, err := os.ReadFile(path)
 			if err != nil {
-				t.Fatalf("read entry: %v", err)
+				t.Fatalf("read segment: %v", err)
 			}
-			tc.mangle(t, data)
+			writeRaw(t, path, tc.mangle(data))
 			if _, status := s.Get(key); status != StatusCorrupt {
-				t.Fatalf("Get on mangled entry = %v, want corrupt", status)
+				t.Fatalf("Get on mangled record = %v, want corrupt", status)
 			}
-			// Corruption heals: the entry is deleted, later probes miss.
+			// Corruption heals: the segment is unlinked, later probes miss.
 			if _, err := os.Stat(path); !os.IsNotExist(err) {
-				t.Fatalf("corrupt entry not removed (stat err=%v)", err)
+				t.Fatalf("corrupt segment not removed (stat err=%v)", err)
 			}
 			if _, status := s.Get(key); status != StatusMiss {
 				t.Fatalf("Get after heal = %v, want miss", status)
 			}
 		})
 	}
+	t.Run("trailing garbage", func(t *testing.T) {
+		if _, err := s.Put(key, payload); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+		path := onlySegment(t, dir)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("read segment: %v", err)
+		}
+		writeRaw(t, path, append(data, 0xFF))
+		for _, st := range []*Store{s, mustOpen(t, dir, Options{})} {
+			if got, status := st.Get(key); status != StatusHit || !bytes.Equal(got, payload) {
+				t.Fatalf("Get with garbage after the record = %v, want hit", status)
+			}
+		}
+		other := NewKey(KindResult, []byte("other"))
+		if _, err := s.Put(other, payload); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+		if n := len(segments(t, dir)); n != 2 {
+			t.Fatalf("%d segments after a Put over a damaged segment, want 2 (a new one)", n)
+		}
+		if _, status := mustOpen(t, dir, Options{}).Get(other); status != StatusHit {
+			t.Fatalf("fresh store Get(record written after the damage) = %v, want hit", status)
+		}
+	})
 }
 
 func writeRaw(t *testing.T, path string, data []byte) {
@@ -162,40 +202,39 @@ func writeRaw(t *testing.T, path string, data []byte) {
 	}
 }
 
-// TestKindMismatchIsCorrupt: an entry stored under a result key but
+// TestKindMismatchIsCorrupt: a record stored under a result key but
 // carrying an envelope of another kind is corruption.
 func TestKindMismatchIsCorrupt(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{})
 	key := NewKey(KindResult, []byte("app"))
-	// Forge a checksummed foreign-kind envelope at the result key's path.
-	writeRaw(t, filepath.Join(dir, key.Filename()), EncodeEntry('s', []byte("payload")))
+	// Forge a segment holding a well-formed record whose checksummed
+	// envelope is of a foreign kind.
+	writeSegment(t, dir, 1, recordFromEnvelope(key, EncodeEntry('s', []byte("payload"))))
+	s := mustOpen(t, dir, Options{})
 	if _, status := s.Get(key); status != StatusCorrupt {
-		t.Fatalf("Get on kind-mismatched entry = %v, want corrupt", status)
+		t.Fatalf("Get on kind-mismatched record = %v, want corrupt", status)
 	}
 }
 
+// TestLRUEviction: with a budget this small every record gets its own
+// segment, so segment eviction is entry eviction. A hit on the oldest
+// entry promotes it to a new segment; the next overflowing Put then
+// evicts the least recently used entry, not the oldest written.
 func TestLRUEviction(t *testing.T) {
 	dir := t.TempDir()
 	payload := bytes.Repeat([]byte("x"), 1000)
-	entrySize := int64(len(EncodeEntry(KindResult, payload)))
-	// Room for 3 entries, not 4.
-	s := mustOpen(t, dir, Options{MaxBytes: 3*entrySize + entrySize/2})
+	recSize := recordSize(len(payload))
+	// Room for 3 records, not 4.
+	s := mustOpen(t, dir, Options{MaxBytes: 3*recSize + recSize/2})
 
 	keys := make([]Key, 4)
-	base := time.Now().Add(-time.Hour)
 	for i := 0; i < 3; i++ {
 		keys[i] = NewKey(KindResult, []byte{byte('a' + i)})
 		if _, err := s.Put(keys[i], payload); err != nil {
 			t.Fatalf("Put %d: %v", i, err)
 		}
-		// Pin distinct mtimes so LRU order is deterministic: key 0 oldest.
-		mt := base.Add(time.Duration(i) * time.Minute)
-		if err := os.Chtimes(filepath.Join(dir, keys[i].Filename()), mt, mt); err != nil {
-			t.Fatalf("chtimes: %v", err)
-		}
 	}
-	// Touch key 0: a Get bumps recency, so key 1 becomes the LRU victim.
+	// Touch key 0: the hit promotes it, so key 1 becomes the LRU victim.
 	if _, status := s.Get(keys[0]); status != StatusHit {
 		t.Fatalf("Get keys[0] = %v, want hit", status)
 	}
@@ -226,6 +265,9 @@ func TestOversizedPayloadSkipped(t *testing.T) {
 	key := NewKey(KindResult, []byte("big"))
 	if _, err := s.Put(key, bytes.Repeat([]byte("x"), 4096)); err != nil {
 		t.Fatalf("Put oversized: %v", err)
+	}
+	if n := len(segments(t, s.Dir())); n != 0 {
+		t.Fatalf("oversized Put created %d segments", n)
 	}
 	if _, status := s.Get(key); status != StatusMiss {
 		t.Fatalf("oversized entry = %v, want miss (skipped)", status)
@@ -259,71 +301,35 @@ func TestSharedIdentity(t *testing.T) {
 	}
 }
 
-// TestStaleTempSweep: crashed writers leave put-*.tmp files; eviction
-// sweeps old ones but leaves fresh ones (a concurrent writer mid-commit).
-func TestStaleTempSweep(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{MaxBytes: 1 << 20})
-	stale := filepath.Join(dir, "put-stale.tmp")
-	fresh := filepath.Join(dir, "put-fresh.tmp")
-	writeRaw(t, stale, []byte("crashed writer leftovers"))
-	writeRaw(t, fresh, []byte("in-flight write"))
-	old := time.Now().Add(-2 * time.Hour)
-	if err := os.Chtimes(stale, old, old); err != nil {
-		t.Fatalf("chtimes: %v", err)
-	}
-	if _, err := s.Put(NewKey(KindResult, []byte("k")), []byte("v")); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Fatalf("stale temp file not swept (err=%v)", err)
-	}
-	if _, err := os.Stat(fresh); err != nil {
-		t.Fatalf("fresh temp file swept: %v", err)
-	}
-}
-
-// TestHotEntrySurvivesCoarseMtimeEviction is the regression test for the
-// mtime-only LRU clock: on a coarse-granularity filesystem (or when
-// Chtimes fails) a burst of hits leaves the hot entry's mtime equal to —
-// or older than — the cold entries', and the filename tie-break then
-// evicts the hot entry first. The in-memory recency overlay must keep it
-// alive. The test simulates the coarse clock by collapsing every entry's
-// mtime to one shared tick after the hits happened.
+// TestHotEntrySurvivesCoarseMtimeEviction: eviction order must not
+// depend on file mtimes, which a coarse-granularity filesystem collapses
+// into one tick and which anyone can reset. Segments are evicted in
+// creation order (their names), and a burst of hits on the oldest entry
+// promotes it into a new segment, so it survives. The test collapses
+// every segment's mtime to one shared tick after the hits.
 func TestHotEntrySurvivesCoarseMtimeEviction(t *testing.T) {
 	dir := t.TempDir()
 	payload := bytes.Repeat([]byte("x"), 1000)
-	entrySize := int64(len(EncodeEntry(KindResult, payload)))
-	s := mustOpen(t, dir, Options{MaxBytes: 3*entrySize + entrySize/2})
+	recSize := recordSize(len(payload))
+	s := mustOpen(t, dir, Options{MaxBytes: 3*recSize + recSize/2})
 
-	// Three keys, Put in lexical filename order so the hot entry (the
-	// lexically smallest) is both the tie-break victim and the oldest
-	// write — the worst case for any recency tracking weaker than
-	// touch-on-Get.
 	keys := make([]Key, 3)
 	for i := range keys {
 		keys[i] = NewKey(KindResult, []byte{byte('a' + i)})
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Filename() < keys[j].Filename() })
-	for i, k := range keys {
-		if _, err := s.Put(k, payload); err != nil {
+		if _, err := s.Put(keys[i], payload); err != nil {
 			t.Fatalf("Put %d: %v", i, err)
 		}
 	}
-	hot := keys[0]
+	hot := keys[0] // the oldest write
 
-	// Hammer hits on the hot entry — all within what a coarse-mtime
-	// filesystem would record as a single tick.
 	for i := 0; i < 5; i++ {
 		if _, status := s.Get(hot); status != StatusHit {
 			t.Fatalf("Get hot = %v, want hit", status)
 		}
 	}
-	// Collapse every entry's mtime to one shared past tick, wiping out
-	// whatever recency Chtimes recorded.
 	tick := time.Now().Add(-time.Hour).Truncate(time.Second)
-	for _, k := range keys {
-		if err := os.Chtimes(filepath.Join(dir, k.Filename()), tick, tick); err != nil {
+	for _, p := range segments(t, dir) {
+		if err := os.Chtimes(p, tick, tick); err != nil {
 			t.Fatalf("chtimes: %v", err)
 		}
 	}
@@ -347,35 +353,32 @@ func TestHotEntrySurvivesCoarseMtimeEviction(t *testing.T) {
 	}
 }
 
-// TestEvictionTieBreakDeterministic: entries this process never touched
-// (written by another process, say) with identical mtimes must be evicted
-// in a deterministic order — lexical filename order.
+// TestEvictionTieBreakDeterministic: segments this store never touched
+// (written by other stores, as other processes would) with identical
+// mtimes are evicted in a deterministic order — creation order, which is
+// lexical name order.
 func TestEvictionTieBreakDeterministic(t *testing.T) {
 	dir := t.TempDir()
 	payload := bytes.Repeat([]byte("y"), 1000)
-	raw := EncodeEntry(KindResult, payload)
-	entrySize := int64(len(raw))
+	recSize := recordSize(len(payload))
 
-	// Three committed entries written behind the store's back: no overlay
-	// recency, identical mtimes.
 	keys := make([]Key, 3)
 	for i := range keys {
 		keys[i] = NewKey(KindResult, []byte{byte('p' + i)})
+		if _, err := mustOpen(t, dir, Options{}).Put(keys[i], payload); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Filename() < keys[j].Filename() })
 	tick := time.Now().Add(-time.Hour).Truncate(time.Second)
-	for _, k := range keys {
-		path := filepath.Join(dir, k.Filename())
-		writeRaw(t, path, raw)
-		if err := os.Chtimes(path, tick, tick); err != nil {
+	for _, p := range segments(t, dir) {
+		if err := os.Chtimes(p, tick, tick); err != nil {
 			t.Fatalf("chtimes: %v", err)
 		}
 	}
 
-	// Budget for two old entries plus the new one: the eviction triggered
-	// by the first Put must remove exactly the lexically-smallest old
-	// entry.
-	s := mustOpen(t, dir, Options{MaxBytes: 3*entrySize + entrySize/2})
+	// Budget for three records: the eviction triggered by the first Put
+	// must remove exactly the first-created segment.
+	s := mustOpen(t, dir, Options{MaxBytes: 3*recSize + recSize/2})
 	if _, err := s.Put(NewKey(KindResult, []byte("new")), payload); err != nil {
 		t.Fatalf("Put: %v", err)
 	}

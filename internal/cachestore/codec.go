@@ -42,7 +42,11 @@ var errCorrupt = errors.New("cachestore: corrupt entry")
 
 // EncodeEntry wraps a payload in the checksummed envelope.
 func EncodeEntry(kind byte, payload []byte) []byte {
-	out := make([]byte, 0, envelopeOverhead+len(payload))
+	return appendEntry(make([]byte, 0, envelopeOverhead+len(payload)), kind, payload)
+}
+
+// appendEntry appends the envelope for payload to out.
+func appendEntry(out []byte, kind byte, payload []byte) []byte {
 	out = append(out, entryMagic...)
 	out = append(out, kind)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))

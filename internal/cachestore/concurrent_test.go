@@ -15,7 +15,7 @@ import (
 
 // TestConcurrentSharedSameDir: goroutines resolving the same directory
 // through Shared hammer a small key space with mixed Put/Get/Remove/Len
-// while the LRU bound forces evictions mid-traffic.
+// while the size bound forces evictions mid-traffic.
 func TestConcurrentSharedSameDir(t *testing.T) {
 	dir := t.TempDir()
 	payload := bytes.Repeat([]byte("p"), 512)

@@ -5,20 +5,19 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
 )
 
 // Cross-OS-process tests: the store's documented contract says concurrent
-// *processes* sharing one directory are safe (atomic renames; benignly
-// racing LRU scans). The in-process concurrent_test.go storms cannot
-// prove that — the evictMu and the recency overlay only serialize within
-// a process — so these tests re-exec the test binary as a genuinely
-// separate process (the classic helper-process pattern) and drive churn
-// and corruption healing across the process boundary. The fleet mode
-// leans on exactly this: every worker on a host shares the same -cache
-// directory with whatever CLI scans run beside it.
+// *processes* sharing one directory are safe (each appends only to its own
+// segments; they meet only through unlinks). The in-process
+// concurrent_test.go storms cannot prove that — the store's mutex only
+// serializes within a process — so these tests re-exec the test binary
+// as a genuinely separate process (the classic helper-process pattern)
+// and drive churn and corruption healing across the process boundary.
+// The fleet mode leans on exactly this: every worker on a host shares
+// the same -cache directory with whatever CLI scans run beside it.
 
 const (
 	helperModeEnv = "CACHESTORE_HELPER_MODE"
@@ -106,8 +105,9 @@ func runHelper(t *testing.T, dir, mode, key string, max int64) string {
 }
 
 // TestCrossProcessVisibility: an entry committed by one OS process must
-// read as a clean hit in another, and vice versa — the atomic
-// write-then-rename commit is the only coordination between them.
+// read as a clean hit in another, and vice versa — a miss reads the
+// tails other processes' segments grew, which is the only coordination
+// between them.
 func TestCrossProcessVisibility(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns child processes")
@@ -157,7 +157,7 @@ func TestCrossProcessPutEvictChurn(t *testing.T) {
 	go func() { childDone <- runHelper(t, dir, "churn", "", max) }()
 
 	// The parent's half of the storm: unique keys plus shared re-puts, so
-	// renames, evictions, and reads interleave with the child's.
+	// appends, evictions, and reads interleave with the child's.
 	for i := 0; i < 120; i++ {
 		if _, err := s.Put(crossKey(fmt.Sprintf("parent-%d", i)), crossPayload); err != nil {
 			t.Fatalf("parent churn Put: %v", err)
@@ -179,9 +179,9 @@ func TestCrossProcessPutEvictChurn(t *testing.T) {
 		t.Fatalf("child churn did not finish cleanly:\n%s", out)
 	}
 
-	// One more Put forces a full eviction scan (the running total errs
-	// high after cross-process traffic), which recomputes the true
-	// on-disk total and trims it under the bound.
+	// One more Put forces an eviction (the parent's own appends keep its
+	// running total at the bound), which recomputes the true on-disk
+	// total and trims it under the bound.
 	if _, err := s.Put(crossKey("final"), crossPayload); err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestCrossProcessPutEvictChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range ents {
-		if strings.HasSuffix(e.Name(), entryExt) {
+		if strings.HasSuffix(e.Name(), segExt) {
 			info, err := e.Info()
 			if err != nil {
 				t.Fatal(err)
@@ -200,7 +200,7 @@ func TestCrossProcessPutEvictChurn(t *testing.T) {
 		}
 	}
 	if total > max {
-		t.Errorf("after cross-process churn and a final eviction, disk holds %d bytes of entries, budget %d", total, max)
+		t.Errorf("after cross-process churn and a final eviction, disk holds %d bytes of segments, budget %d", total, max)
 	}
 
 	// And the directory is still a working cache.
@@ -209,11 +209,13 @@ func TestCrossProcessPutEvictChurn(t *testing.T) {
 	}
 }
 
-// TestCrossProcessCorruptHealing: corruption planted by one process
-// (here: the parent truncating a committed entry, as a crashed writer
-// on a non-atomic filesystem might) must be detected by another
-// process's Get, deleted on the spot, and the slot must heal with the
-// next Put — all visible back in the first process.
+// TestCrossProcessCorruptHealing: corruption planted under one process
+// (here: the parent flipping a payload bit in its own segment, as bit
+// rot would) must be detected by another process's Get, the segment
+// unlinked on the spot, and the slot must heal with the next Put — all
+// visible back in the first process. A segment cut short mid-record (a
+// writer killed mid-append) is not corruption: the other process reads
+// the torn tail as the end of the segment, a plain miss.
 func TestCrossProcessCorruptHealing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns child processes")
@@ -225,42 +227,8 @@ func TestCrossProcessCorruptHealing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Truncate the committed entry mid-payload.
-	path := filepath.Join(dir, key.Filename())
+	path := onlySegment(t, dir)
 	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// The child must classify it corrupt, not hit, not crash.
-	out := runHelper(t, dir, "get", "damaged", 0)
-	if !strings.Contains(out, "helper: get=corrupt") {
-		t.Fatalf("child did not report the truncated entry corrupt:\n%s", out)
-	}
-	// ... and must have removed the damaged file (self-healing).
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("damaged entry still on disk after the child's corrupt read (stat err=%v)", err)
-	}
-	// The parent sees the healed slot as a plain miss, re-puts, and the
-	// child hits the fresh entry.
-	if _, status := s.Get(key); status != StatusMiss {
-		t.Fatalf("parent Get after child healing = %v, want miss", status)
-	}
-	if _, err := s.Put(key, crossPayload); err != nil {
-		t.Fatal(err)
-	}
-	out = runHelper(t, dir, "get", "damaged", 0)
-	if want := fmt.Sprintf("helper: get=hit payload=%d", len(crossPayload)); !strings.Contains(out, want) {
-		t.Fatalf("child did not hit the healed entry; want %q in:\n%s", want, out)
-	}
-
-	// A bit-flip inside the payload (not just truncation) must also read
-	// corrupt cross-process: the envelope checksum, not the length, is
-	// what catches it.
-	data, err = os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,8 +236,46 @@ func TestCrossProcessCorruptHealing(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out = runHelper(t, dir, "get", "damaged", 0)
+
+	// The child must classify it corrupt, not hit, not crash ...
+	out := runHelper(t, dir, "get", "damaged", 0)
 	if !strings.Contains(out, "helper: get=corrupt") {
-		t.Fatalf("child did not report the bit-flipped entry corrupt:\n%s", out)
+		t.Fatalf("child did not report the bit-flipped record corrupt:\n%s", out)
+	}
+	// ... and must have unlinked the damaged segment (self-healing).
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("damaged segment still on disk after the child's corrupt read (stat err=%v)", err)
+	}
+	// The parent sees the healed slot as a plain miss, re-puts, and the
+	// child hits the fresh record.
+	if _, status := s.Get(key); status != StatusMiss {
+		t.Fatalf("parent Get after child healing = %v, want miss", status)
+	}
+	if _, err := s.Put(key, crossPayload); err != nil {
+		t.Fatal(err)
+	}
+	hit := fmt.Sprintf("helper: get=hit payload=%d", len(crossPayload))
+	if out = runHelper(t, dir, "get", "damaged", 0); !strings.Contains(out, hit) {
+		t.Fatalf("child did not hit the healed entry; want %q in:\n%s", hit, out)
+	}
+
+	// Truncate the segment mid-payload: a torn tail, read as a miss.
+	path = onlySegment(t, dir)
+	if data, err = os.ReadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if out = runHelper(t, dir, "get", "damaged", 0); !strings.Contains(out, "helper: get=miss") {
+		t.Fatalf("child did not read the torn tail as a miss:\n%s", out)
+	}
+	// The parent's next Put goes to a new segment, not behind the torn
+	// tail, and the child hits it.
+	if _, err := s.Put(key, crossPayload); err != nil {
+		t.Fatal(err)
+	}
+	if out = runHelper(t, dir, "get", "damaged", 0); !strings.Contains(out, hit) {
+		t.Fatalf("child did not hit the entry rewritten after the torn tail; want %q in:\n%s", hit, out)
 	}
 }

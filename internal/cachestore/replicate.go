@@ -3,10 +3,7 @@ package cachestore
 import (
 	"encoding/hex"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
-	"time"
 )
 
 // This file is the fleet cache-replication path (DESIGN.md §12): a Store
@@ -49,10 +46,10 @@ func (s *Store) replicator() Replicator {
 	return s.repl
 }
 
-// ParseFilename reverses Key.Filename: it accepts exactly the names a
-// committed entry can carry (kind byte, dash, 64 hex digits, entry
-// extension) so the cache-hub HTTP surface can validate requested names
-// before touching the filesystem.
+// ParseFilename reverses Key.Filename: it accepts exactly the names an
+// entry can carry on the hub's wire (kind byte, dash, 64 hex digits,
+// entry extension) so the cache-hub HTTP surface can validate requested
+// names before touching the store.
 func ParseFilename(name string) (Key, bool) {
 	var k Key
 	if len(name) != 2+2*len(k.Sum)+len(entryExt) || !strings.HasSuffix(name, entryExt) {
@@ -73,37 +70,26 @@ func ParseFilename(name string) (Key, bool) {
 	return k, true
 }
 
-// GetEnvelope serves one committed entry's raw envelope bytes by
-// filename — the hub side of replication. The envelope is validated
-// before serving (a corrupt entry is deleted and reads as a miss, the
-// same healing Get performs) and the read refreshes hub LRU recency, so
-// fleet-hot entries stay resident.
+// GetEnvelope serves one entry's raw envelope bytes by its wire name —
+// the hub side of replication. It goes through the same index and
+// validation as Get: a corrupt record reads as a miss and its segment is
+// unlinked, and a hit in an old segment is promoted, so fleet-hot entries
+// stay resident.
 func (s *Store) GetEnvelope(name string) ([]byte, bool) {
 	key, ok := ParseFilename(name)
 	if !ok {
 		return nil, false
 	}
-	path := filepath.Join(s.dir, name)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, false
-	}
-	if kind, _, err := DecodeEntry(data); err != nil || kind != key.Kind {
-		os.Remove(path)
-		return nil, false
-	}
-	now := time.Now()
-	os.Chtimes(path, now, now)
-	s.touch(name, now)
-	return data, true
+	env, status := s.get(key)
+	return env, status == StatusHit
 }
 
-// PutEnvelope accepts one raw entry envelope by filename — the hub side
-// of a worker push. The name must parse, the envelope must checksum
+// PutEnvelope accepts one raw entry envelope by its wire name — the hub
+// side of a worker push. The name must parse, the envelope must checksum
 // clean, and the declared kind must match the name; anything else is
 // rejected so a confused or malicious writer cannot plant corrupt
-// entries. Accepted envelopes commit atomically under the LRU bound like
-// any local Put.
+// entries. Accepted envelopes are appended under the size bound like any
+// local Put.
 func (s *Store) PutEnvelope(name string, data []byte) error {
 	key, ok := ParseFilename(name)
 	if !ok {
@@ -116,6 +102,6 @@ func (s *Store) PutEnvelope(name string, data []byte) error {
 	if kind != key.Kind {
 		return fmt.Errorf("cachestore: envelope kind %q does not match name %q", kind, name)
 	}
-	_, err = s.commitRaw(key, data)
+	_, err = s.commit(key, recordFromEnvelope(key, data))
 	return err
 }

@@ -3,7 +3,6 @@ package cachestore
 import (
 	"bytes"
 	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 )
@@ -187,8 +186,9 @@ func TestPutEnvelopeValidates(t *testing.T) {
 	}
 }
 
-// TestGetEnvelopeHealsCorruption: the hub read path deletes a damaged
-// entry instead of serving it — the same healing Get performs.
+// TestGetEnvelopeHealsCorruption: the hub read path unlinks the segment
+// holding a damaged record instead of serving it — the same healing Get
+// performs.
 func TestGetEnvelopeHealsCorruption(t *testing.T) {
 	dir := t.TempDir()
 	hub, err := Open(dir, Options{})
@@ -199,7 +199,7 @@ func TestGetEnvelopeHealsCorruption(t *testing.T) {
 	if _, err := hub.Put(key, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, key.Filename())
+	path := onlySegment(t, dir)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -212,6 +212,6 @@ func TestGetEnvelopeHealsCorruption(t *testing.T) {
 		t.Fatal("GetEnvelope served a corrupt entry")
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatal("corrupt entry not healed (still on disk)")
+		t.Fatal("corrupt segment not healed (still on disk)")
 	}
 }

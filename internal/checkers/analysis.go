@@ -111,7 +111,8 @@ type Options struct {
 	CacheDir string
 	// CacheMode selects off / read-only / read-write use of CacheDir.
 	CacheMode CacheMode
-	// CacheMaxBytes bounds the on-disk cache size (LRU eviction);
+	// CacheMaxBytes bounds the on-disk cache size (oldest segments are
+	// evicted first);
 	// 0 means cachestore.DefaultMaxBytes.
 	CacheMaxBytes int64
 

@@ -35,7 +35,8 @@ import (
 
 // EngineVersion names the analysis engine revision for cache keying. Bump
 // it whenever checker behavior changes in a way the other key components
-// do not capture; old entries then read as misses and age out via LRU.
+// do not capture; old entries then read as misses and are evicted with
+// their segments.
 const EngineVersion = "nchecker-engine/6"
 
 // CacheMode selects how a scan uses the persistent cache.

@@ -9,6 +9,7 @@ import (
 	"repro/internal/android"
 	"repro/internal/apimodel"
 	"repro/internal/apk"
+	"repro/internal/cachestore"
 	"repro/internal/jimple"
 	"repro/internal/report"
 )
@@ -120,6 +121,77 @@ func TestCacheReadOnlyNeverWrites(t *testing.T) {
 	if len(entries) != 0 {
 		t.Fatalf("ro scan left %d files in the cache directory", len(entries))
 	}
+
+	// A hit on a record in an old segment — one with at least half the
+	// bound in newer segments — is where the store promotes an entry. The
+	// ro scan must still create and remove nothing: the promotion waits
+	// for the store's next commit.
+	const maxBytes = 1 << 20
+	dir = t.TempDir()
+	rw := Options{Workers: 1, CacheDir: dir, CacheMode: CacheRW, CacheMaxBytes: maxBytes}
+	if c := Analyze(cacheTestApp(t, cacheTestSrc), reg, rw).Diagnostics.Cache; c.StorePuts != 1 {
+		t.Fatalf("rw scan: %d puts, want 1", c.StorePuts)
+	}
+	st, err := cachestore.Shared(dir, cachestore.Options{MaxBytes: maxBytes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each filler is larger than the rotation size (maxBytes/8), so each
+	// lands in a segment of its own; five of them make the first old.
+	for i := 0; i < 5; i++ {
+		if _, err := st.Put(cachestore.NewKey(cachestore.KindResult, []byte{byte(i)}), make([]byte, maxBytes/8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := dirSizes(t, dir)
+	roOld := rw
+	roOld.CacheMode = CacheRO
+	res := Analyze(cacheTestApp(t, cacheTestSrc), reg, roOld)
+	assertSameFindings(t, res, off, "ro hit in an old segment vs off")
+	if c := res.Diagnostics.Cache; c.StoreHits != 1 || c.StorePuts != 0 {
+		t.Fatalf("ro scan over an old segment: %d hits, %d puts; want 1 hit, 0 puts", c.StoreHits, c.StorePuts)
+	}
+	if after := dirSizes(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatalf("ro scan changed the cache directory:\n got %v\nwant %v", after, before)
+	}
+	// Control: the hit was queued, so the next commit re-appends the
+	// entry's record to a new segment.
+	if _, err := st.Put(cachestore.NewKey(cachestore.KindResult, []byte("next")), []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	var first string
+	for name := range before {
+		if first == "" || name < first {
+			first = name
+		}
+	}
+	var added int64
+	for name, size := range dirSizes(t, dir) {
+		if _, ok := before[name]; !ok {
+			added += size
+		}
+	}
+	if added <= before[first] {
+		t.Fatalf("the commit after the ro hit added %d bytes, want the promoted record (%d bytes) and more", added, before[first])
+	}
+}
+
+// dirSizes maps each file in dir to its size.
+func dirSizes(t *testing.T, dir string) map[string]int64 {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]int64, len(ents))
+	for _, e := range ents {
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = info.Size()
+	}
+	return out
 }
 
 // TestIncompleteScanNeverPoisons: a scan degraded by a mid-pipeline panic
@@ -164,9 +236,9 @@ func TestIncompleteScanNeverPoisons(t *testing.T) {
 	}
 }
 
-// TestCorruptEntriesFallBackCold: damaging every cached file on disk must
-// read as a cold scan with corrupt counters — same findings, no failure —
-// and the rw rescan heals the cache.
+// TestCorruptEntriesFallBackCold: damaging every cached record on disk
+// must read as a cold scan with corrupt counters — same findings, no
+// failure — and the rw rescan heals the cache.
 func TestCorruptEntriesFallBackCold(t *testing.T) {
 	reg := apimodel.NewRegistry()
 	dir := t.TempDir()
@@ -183,9 +255,11 @@ func TestCorruptEntriesFallBackCold(t *testing.T) {
 		if err != nil {
 			t.Fatalf("read %s: %v", p, err)
 		}
-		// Truncate to simulate a writer killed mid-commit.
-		if err := os.WriteFile(p, data[:len(data)/2], 0o644); err != nil {
-			t.Fatalf("truncate %s: %v", p, err)
+		// Flip a payload bit, as bit rot would. (A truncated segment is a
+		// torn tail: another process reads it as a plain miss.)
+		data[len(data)-1] ^= 0x40
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatalf("damage %s: %v", p, err)
 		}
 	}
 
@@ -304,9 +378,10 @@ func TestNoDigestWorkWithCacheOff(t *testing.T) {
 const leftoverSummaryFile = "s-d84222752509ea408fad7ae43f340fb965e23d61a5d5f5215a81bc0446054e41.nce"
 
 // TestLeftoverSummariesIgnored: a scan over a directory holding a
-// leftover summary entry plus newer result entries never reads the
-// leftover. Its report is byte-identical to a cold scan, and the leftover
-// stays on disk, untouched, for LRU eviction.
+// leftover summary entry never reads the leftover. A read-only scan
+// renders byte-identical to a cold scan and leaves the leftover alone;
+// the first rw commit unlinks it (the engine never reads such files),
+// and later rw scans, cold and warm, render byte-identical too.
 func TestLeftoverSummariesIgnored(t *testing.T) {
 	reg := apimodel.NewRegistry()
 	dir := t.TempDir()
@@ -314,17 +389,13 @@ func TestLeftoverSummariesIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, leftoverSummaryFile), leftover, 0o644); err != nil {
+	path := filepath.Join(dir, leftoverSummaryFile)
+	if err := os.WriteFile(path, leftover, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Workers: 1, CacheDir: dir, CacheMode: CacheRW}
-	if other := Analyze(cacheTestApp(t, cacheTestSrc+extraClass), reg, opts); other.Diagnostics.Cache.StorePuts != 1 {
-		t.Fatalf("writing a newer result entry: %+v", other.Diagnostics.Cache)
-	}
-
 	cold := Analyze(cacheTestApp(t, cacheTestSrc), reg, Options{Workers: 1})
-	for _, label := range []string{"first scan", "warm rescan"} {
-		res := Analyze(cacheTestApp(t, cacheTestSrc), reg, opts)
+	check := func(label string, res *Result) {
+		t.Helper()
 		assertSameFindings(t, res, cold, label+" over leftover vs cold")
 		if got, want := report.RenderAll(res.Reports), report.RenderAll(cold.Reports); got != want {
 			t.Errorf("%s: rendered report differs from a cold scan:\n got %s\nwant %s", label, got, want)
@@ -333,8 +404,23 @@ func TestLeftoverSummariesIgnored(t *testing.T) {
 			t.Errorf("%s: %d probes, %d corrupt; want 1 probe and no corruption", label, c.StoreProbes, c.StoreCorrupt)
 		}
 	}
-	if got, err := os.ReadFile(filepath.Join(dir, leftoverSummaryFile)); err != nil || string(got) != string(leftover) {
-		t.Errorf("leftover entry was touched (err=%v)", err)
+
+	opts := Options{Workers: 1, CacheDir: dir, CacheMode: CacheRO}
+	check("ro scan", Analyze(cacheTestApp(t, cacheTestSrc), reg, opts))
+	if got, err := os.ReadFile(path); err != nil || string(got) != string(leftover) {
+		t.Fatalf("ro scan touched the leftover entry (err=%v)", err)
+	}
+
+	opts.CacheMode = CacheRW
+	other := Analyze(cacheTestApp(t, cacheTestSrc+extraClass), reg, opts)
+	if c := other.Diagnostics.Cache; c.StorePuts != 1 || c.StoreEvicted != 1 {
+		t.Fatalf("first rw commit: %d puts, %d evicted; want 1 put and the leftover unlinked", c.StorePuts, c.StoreEvicted)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("leftover entry survived the first rw commit (stat err=%v)", err)
+	}
+	for _, label := range []string{"first rw scan", "warm rescan"} {
+		check(label, Analyze(cacheTestApp(t, cacheTestSrc), reg, opts))
 	}
 }
 

@@ -47,7 +47,9 @@ type CacheStats struct {
 	// Persistent store (Options.CacheDir) traffic: result-entry probes
 	// and their outcomes, and the write side. StoreCorrupt counts
 	// corrupt/truncated entries and in-cache panics, all of which degrade
-	// to cold computation. All zero when the persistent cache is off.
+	// to cold computation. StoreEvicted counts the files eviction unlinked
+	// (whole segments, or files older engines left). All zero when the
+	// persistent cache is off.
 	StoreProbes, StoreHits, StoreMisses, StoreCorrupt int
 	StorePuts, StorePutErrors, StoreEvicted           int
 	// SummariesSeeded and ClassDigests are always 0. They counted the

@@ -112,9 +112,10 @@ func TestCacheDifferentialFullCorpus(t *testing.T) {
 	}
 }
 
-// TestCacheSurvivesCrashedWriter: truncate every cached entry (a writer
-// killed mid-commit) — the rescan must detect the damage, fall back cold
-// with identical output, and heal the cache in rw mode.
+// TestCacheSurvivesCrashedWriter: truncate every cache segment under the
+// live store (a writer killed mid-append, then the file cut further) —
+// the rescan must detect the damage, fall back cold with identical
+// output, and heal the cache in rw mode.
 func TestCacheSurvivesCrashedWriter(t *testing.T) {
 	baseline := goldenReportTextWith(t, core.Options{Workers: 1})
 	dir := t.TempDir() // isolation-sensitive: must not share a populated dir

@@ -218,5 +218,6 @@ go test -run='^$' -fuzz=FuzzDecode -fuzztime=10s -timeout 5m ./internal/dex
 go test -run='^$' -fuzz=FuzzTargetSiteSearch -fuzztime=10s -timeout 5m ./internal/dex
 go test -run='^$' -fuzz=FuzzParse -fuzztime=10s -timeout 5m ./internal/jimple
 go test -run='^$' -fuzz=FuzzCacheEntry -fuzztime=10s -timeout 5m ./internal/cachestore
+go test -run='^$' -fuzz=FuzzSegment -fuzztime=10s -timeout 5m ./internal/cachestore
 
 echo "check: all green"
