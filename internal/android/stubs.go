@@ -14,13 +14,11 @@ var (
 // Framework returns a program containing stub definitions of the framework
 // classes apps extend and call. The stubs carry hierarchy information and
 // method signatures only — no bodies — which is all the analyses consume.
-// Merge it under an app's program before building a hierarchy:
-//
-//	prog.Merge(android.Framework())
+// Scans do not merge it themselves: apimodel.Model indexes it once, with
+// the library stubs, as the base layer every app's hierarchy sits on.
 //
 // The program is built once per process and shared; it is read-only after
-// construction (Program.Merge copies class pointers without mutating the
-// source).
+// construction.
 func Framework() *jimple.Program {
 	frameworkOnce.Do(func() { frameworkProg = buildFramework() })
 	return frameworkProg

@@ -3,6 +3,8 @@ package apimodel
 import (
 	"sync"
 
+	"repro/internal/android"
+	"repro/internal/hierarchy"
 	"repro/internal/jimple"
 )
 
@@ -22,11 +24,32 @@ var ResponseUseSigs = map[string]bool{
 var (
 	stubsOnce sync.Once
 	stubsProg *jimple.Program
+
+	modelOnce sync.Once
+	modelH    *hierarchy.Hierarchy
 )
+
+// Model returns the class hierarchy of the fixed model every app is
+// analysed against: android.Framework() plus Stubs(), the framework
+// winning where both define a class. Scans layer their app over it with
+// hierarchy.Layer instead of merging and re-indexing the model per scan.
+//
+// It is built once per process and only ever read afterwards: layered
+// hierarchies keep their own dispatch memos, so the shared layer holds no
+// per-scan state and its size never changes.
+func Model() *hierarchy.Hierarchy {
+	modelOnce.Do(func() {
+		p := jimple.NewProgram()
+		p.Merge(android.Framework())
+		p.Merge(Stubs())
+		modelH = hierarchy.New(p)
+	})
+	return modelH
+}
 
 // Stubs returns hierarchy/signature stubs for every annotated library
 // class, generated from the registry so the stubs can never drift from the
-// annotations. Merge into an app program alongside android.Framework().
+// annotations. Model indexes them together with android.Framework().
 //
 // The program is built once per process and shared: it is read-only after
 // construction (Program.Merge copies class pointers without mutating the

@@ -95,6 +95,7 @@ type Graph struct {
 	out     map[string][]Edge // caller Sig.Key -> outgoing edges
 	in      map[string][]Edge // callee Sig.Key -> incoming edges
 	methods map[string]*jimple.Method
+	keyOf   map[*jimple.Method]string // inverse of methods
 
 	// intern deduplicates key strings during construction; every edge and
 	// node key is allocated once per graph, not once per reference.
@@ -131,13 +132,15 @@ func BuildWith(h *hierarchy.Hierarchy, manifest *android.Manifest, opts Options)
 		out:      make(map[string][]Edge),
 		in:       make(map[string][]Edge),
 		methods:  make(map[string]*jimple.Method),
+		keyOf:    make(map[*jimple.Method]string),
 		intern:   jimple.NewInterner(),
 	}
-	prog := h.Program()
-	for _, c := range prog.Classes() {
+	for _, c := range h.BodiedClasses() {
 		for _, m := range c.Methods {
 			if m.HasBody() {
-				g.methods[g.intern.SigKey(m.Sig)] = m
+				k := g.intern.SigKey(m.Sig)
+				g.methods[k] = m
+				g.keyOf[m] = k
 			}
 		}
 	}
@@ -157,24 +160,20 @@ func BuildWith(h *hierarchy.Hierarchy, manifest *android.Manifest, opts Options)
 		})
 	}
 	sort.Slice(g.entries, func(i, j int) bool {
-		return g.intern.SigKey(g.entries[i].Method.Sig) < g.intern.SigKey(g.entries[j].Method.Sig)
+		return g.keyOf[g.entries[i].Method] < g.keyOf[g.entries[j].Method]
 	})
 	g.intern = nil // construction done; release the table
 	return g
 }
 
 func (g *Graph) discoverEntries() {
-	prog := g.H.Program()
-	for _, c := range prog.Classes() {
-		if !hasConcreteMethod(c) {
-			continue
-		}
+	for _, c := range g.H.BodiedClasses() {
 		seen := make(map[string]bool)
 		add := func(m *jimple.Method) {
 			if m == nil || !m.HasBody() || m.Sig.Class != c.Name {
 				return
 			}
-			mk := g.intern.SigKey(m.Sig)
+			mk := g.keyOf[m]
 			if seen[mk] {
 				return
 			}
@@ -206,15 +205,6 @@ func (g *Graph) discoverEntries() {
 			}
 		}
 	}
-}
-
-func hasConcreteMethod(c *jimple.Class) bool {
-	for _, m := range c.Methods {
-		if m.HasBody() {
-			return true
-		}
-	}
-	return false
 }
 
 func (g *Graph) addEdgesFrom(m *jimple.Method, opts Options) {
@@ -258,7 +248,7 @@ func (g *Graph) addAsyncEdges(m *jimple.Method, site int, inv jimple.InvokeExpr)
 			if cb == nil || !cb.HasBody() {
 				// The declared type may be abstract; search subtypes.
 				for _, st := range g.H.SubtypesOf(targetType) {
-					if c := g.H.Program().Class(st); c != nil {
+					if c := g.H.Class(st); c != nil {
 						if cm := c.Method(sub); cm != nil && cm.HasBody() {
 							cb = cm
 							break
@@ -307,6 +297,15 @@ func (g *Graph) Entries() []Entry { return g.entries }
 
 // Method returns the body-bearing method with the given signature key.
 func (g *Graph) Method(key string) *jimple.Method { return g.methods[key] }
+
+// MethodKey returns m's signature key: the string the graph was built
+// with for a body-bearing method, rendered afresh for any other.
+func (g *Graph) MethodKey(m *jimple.Method) string {
+	if k, ok := g.keyOf[m]; ok {
+		return k
+	}
+	return m.Sig.Key()
+}
 
 // NumMethods returns the count of body-bearing methods.
 func (g *Graph) NumMethods() int { return len(g.methods) }

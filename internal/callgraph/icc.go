@@ -96,7 +96,7 @@ func (g *Graph) intentTarget(m *jimple.Method, inv jimple.InvokeExpr) string {
 // methods of the target component class; it reports whether any edge was
 // added.
 func (g *Graph) addLifecycleEdges(caller *jimple.Method, site int, target, base string) bool {
-	cls := g.H.Program().Class(target)
+	cls := g.H.Class(target)
 	if cls == nil || !g.H.IsSubtype(target, base) {
 		return false
 	}

@@ -304,12 +304,7 @@ type analysis struct {
 	errs  []ScanError
 
 	methods []*jimple.Method // app's body-bearing methods, sorted by key
-	// keyOf caches each collected method's rendered signature key; the
-	// checkers look methods up by key constantly, and re-rendering was a
-	// top allocation source. Frozen alongside methods in the build stage,
-	// read-only afterwards (so safe for concurrent stages).
-	keyOf map[*jimple.Method]string
-	sites []*requestSite
+	sites   []*requestSite
 
 	// Targeted-mode state (targeted.go), frozen before the pipeline's
 	// build stage. roots holds the relevant-method closure (sorted keys);
@@ -448,29 +443,20 @@ func (a *analysis) collectAppMethods() []*jimple.Method {
 			}
 		}
 	}
-	// Render each key once and sort on the cached strings; the comparator
+	// Sort on the keys the call graph already rendered; the comparator
 	// used to re-render both keys per comparison.
 	keys := make([]string, len(out))
-	intern := jimple.NewInterner()
 	for i, m := range out {
-		keys[i] = intern.SigKey(m.Sig)
+		keys[i] = a.cg.MethodKey(m)
 	}
 	sort.Sort(&methodKeySorter{methods: out, keys: keys})
-	a.keyOf = make(map[*jimple.Method]string, len(out))
-	for i, m := range out {
-		a.keyOf[m] = keys[i]
-	}
 	return out
 }
 
-// methodKey returns m's signature key, from the per-scan cache when m is
-// one of the collected app methods, rendering it otherwise.
-func (a *analysis) methodKey(m *jimple.Method) string {
-	if k, ok := a.keyOf[m]; ok {
-		return k
-	}
-	return m.Sig.Key()
-}
+// methodKey returns m's signature key, as interned by the call graph for
+// body-bearing methods, rendering it otherwise. The checkers look methods
+// up by key constantly, and re-rendering was a top allocation source.
+func (a *analysis) methodKey(m *jimple.Method) string { return a.cg.MethodKey(m) }
 
 type methodKeySorter struct {
 	methods []*jimple.Method

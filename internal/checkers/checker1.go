@@ -111,7 +111,7 @@ func (a *analysis) guardingCheckSites() map[string]map[int]bool {
 	out := make(map[string]map[int]bool)
 	for mi, sites := range perMethod {
 		if sites != nil {
-			out[a.keyOf[a.methods[mi]]] = sites
+			out[a.methodKey(a.methods[mi])] = sites
 		}
 	}
 	return out

@@ -165,7 +165,7 @@ func (a *analysis) asyncTaskSibling(m *jimple.Method) *jimple.Method {
 	if !a.h.IsSubtype(m.Sig.Class, android.ClassAsyncTask) {
 		return nil
 	}
-	cls := a.h.Program().Class(m.Sig.Class)
+	cls := a.h.Class(m.Sig.Class)
 	if cls == nil {
 		return nil
 	}

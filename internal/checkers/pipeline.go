@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/android"
 	"repro/internal/apimodel"
 	"repro/internal/apk"
 	"repro/internal/callgraph"
@@ -19,8 +18,9 @@ import (
 //
 // The scan is a staged pass pipeline:
 //
-//	build      — merge the app with the framework model, build the class
-//	             hierarchy and the call graph
+//	build      — layer the app's classes over the process-wide framework
+//	             and library-stub hierarchy (apimodel.Model), then build
+//	             the call graph
 //	discover   — find and resolve every request site (§4.4), fanned out
 //	             per method
 //	settings | parameters | notifications | responses | offlinestate |
@@ -109,11 +109,7 @@ func AnalyzeContext(ctx context.Context, app *apk.App, reg *apimodel.Registry, o
 		// app whole; targeted mode computes the demand closure and decodes
 		// only the demanded classes (targeted.go).
 		a.prepareBuild()
-		prog := jimple.NewProgram()
-		prog.Merge(app.Program)
-		prog.Merge(android.Framework())
-		prog.Merge(apimodel.Stubs())
-		a.h = hierarchy.New(prog)
+		a.h = hierarchy.Layer(apimodel.Model(), app.Program)
 		a.cg = callgraph.BuildWith(a.h, app.Manifest, callgraph.Options{
 			DeclaredDispatchOnly: opts.DeclaredDispatchOnly,
 			EnableICC:            opts.EnableICC,

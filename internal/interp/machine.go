@@ -64,7 +64,7 @@ func (m *Machine) lookupNative(runtimeType string, callee jimple.Sig) NativeFunc
 			if fn, ok := m.natives[cur+"."+sub]; ok {
 				return fn
 			}
-			cls := m.H.Program().Class(cur)
+			cls := m.H.Class(cur)
 			if cls == nil {
 				break
 			}

@@ -460,7 +460,7 @@ func registerFramework(m *Machine) {
 // StartComponent constructs a component instance and runs one of its
 // lifecycle methods.
 func (m *Machine) StartComponent(class, subsig string, args []Value) (Value, *Thrown) {
-	cls := m.H.Program().Class(class)
+	cls := m.H.Class(class)
 	if cls == nil {
 		return nil, nil
 	}

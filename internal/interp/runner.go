@@ -57,22 +57,17 @@ func entrySeed(base int64, sig jimple.Sig) int64 {
 
 // Replayer replays individual entry points of one app under injected
 // fault scenarios — the dynamic half of warning validation. Build one
-// per app (the merged program and hierarchy are shared across replays),
-// then call Replay per entry × scenario.
+// per app (the layered hierarchy is shared across replays), then call
+// Replay per entry × scenario.
 type Replayer struct {
-	prog      *jimple.Program
 	h         *hierarchy.Hierarchy
 	receivers []string
 }
 
-// NewReplayer merges the app with the framework and library stub models
-// and builds the execution hierarchy.
+// NewReplayer layers the app over the framework and library stub model
+// (apimodel.Model) to form the execution hierarchy.
 func NewReplayer(app *apk.App) *Replayer {
-	prog := jimple.NewProgram()
-	prog.Merge(app.Program)
-	prog.Merge(android.Framework())
-	prog.Merge(apimodel.Stubs())
-	r := &Replayer{prog: prog, h: hierarchy.New(prog)}
+	r := &Replayer{h: hierarchy.Layer(apimodel.Model(), app.Program)}
 	if app.Manifest != nil {
 		r.receivers = app.Manifest.Receivers
 	}
@@ -86,7 +81,10 @@ func NewReplayer(app *apk.App) *Replayer {
 // Obs.BudgetExceeded so a timed-out run stays distinguishable from a
 // clean one.
 func (r *Replayer) Replay(entry jimple.Sig, scenario Scenario, seed int64) (Observations, bool) {
-	method := r.prog.Method(entry)
+	var method *jimple.Method
+	if cls := r.h.Class(entry.Class); cls != nil {
+		method = cls.Method(entry.SubSigKey())
+	}
 	if method == nil || !method.HasBody() {
 		return Observations{}, false
 	}

@@ -18,7 +18,7 @@ type Interner struct {
 
 // NewInterner returns an empty Interner.
 func NewInterner() *Interner {
-	return &Interner{m: make(map[string]string, 256)}
+	return &Interner{m: make(map[string]string)}
 }
 
 // intern returns the canonical copy of b's contents. The map lookup on

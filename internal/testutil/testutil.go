@@ -103,3 +103,49 @@ func EphemeralAddr() (string, error) {
 	ln.Close()
 	return addr, nil
 }
+
+// ShadowModelApp is Jimple source for an app that redefines two classes
+// of the framework and library-stub model. android.app.Service moves
+// from under android.content.Context to under android.os.Handler, so the
+// framework's IntentService changes supertypes too. com.android.volley
+// .Request gains concrete methods, which the stub subclass StringRequest
+// and an app subclass inherit. No generated corpus app shadows a model
+// class, so this is the fixture for the shadowing rule of layered
+// hierarchies.
+const ShadowModelApp = `class android.app.Service extends android.os.Handler implements java.lang.Runnable {
+  method onCreate()void {
+    return
+  }
+  method run()void {
+    return
+  }
+}
+class com.android.volley.Request extends java.lang.Object {
+  method deliverError(com.android.volley.VolleyError)void {
+    return
+  }
+  method retry()void {
+    return
+  }
+}
+class com.fx.Sync extends android.app.IntentService {
+  method onHandleIntent(android.content.Intent)void {
+    local self com.fx.Sync
+    local r com.fx.MyReq
+    self = this com.fx.Sync
+    virtualinvoke self android.app.Service.onCreate()void
+    virtualinvoke self android.os.Handler.post(java.lang.Runnable)boolean self
+    r = new com.fx.MyReq
+    virtualinvoke r com.android.volley.Request.retry()void
+    return
+  }
+}
+class com.fx.MyReq extends com.android.volley.toolbox.StringRequest {
+  method retry()void {
+    local self com.fx.MyReq
+    self = this com.fx.MyReq
+    specialinvoke self com.android.volley.Request.retry()void
+    virtualinvoke self com.android.volley.Request.deliverError(com.android.volley.VolleyError)void null
+    return
+  }
+}`

@@ -37,6 +37,12 @@ fi
 echo "== go build =="
 go build ./...
 
+echo "== perfbench module: vet + build =="
+# perfbench is a module of its own (replace repro => ../), so the root
+# ./... patterns never compile it; a refactor of the APIs it calls would
+# otherwise break the benchmark without failing any step above.
+(cd perfbench && go vet ./... && go build -o /dev/null .)
+
 echo "== go test -race =="
 # -timeout turns a hung test (e.g. a scan that stopped honoring its
 # deadline) into a gate failure instead of a stalled CI job.
