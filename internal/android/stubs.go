@@ -172,5 +172,6 @@ func buildFramework() *jimple.Program {
 		Abstract: true,
 	})
 
+	p.RenderKeys()
 	return p
 }

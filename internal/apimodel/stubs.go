@@ -36,7 +36,9 @@ var (
 //
 // It is built once per process and only ever read afterwards: layered
 // hierarchies keep their own dispatch memos, so the shared layer holds no
-// per-scan state and its size never changes.
+// per-scan state and its size never changes. Both programs render their
+// method keys when they are built (Program.RenderKeys), so the model's
+// signatures, like a decoded app's, answer Key and SubSigKey by a read.
 func Model() *hierarchy.Hierarchy {
 	modelOnce.Do(func() {
 		p := jimple.NewProgram()
@@ -157,5 +159,6 @@ func buildStubs() *jimple.Program {
 		c.IsIface = true
 		c.Super = ""
 	}
+	p.RenderKeys()
 	return p
 }

@@ -48,31 +48,6 @@ type Edge struct {
 	Site   int // statement index in the caller's body
 	Callee jimple.Sig
 	Kind   EdgeKind
-
-	// callerKey/calleeKey cache the canonical Sig keys. addEdge fills them
-	// from the build's intern table, so graph consumers never re-render a
-	// key per edge visit. Edges constructed outside the builder (tests)
-	// leave them empty; the accessors fall back to computing the key.
-	callerKey string
-	calleeKey string
-}
-
-// CallerKey returns e.Caller.Key() without re-rendering it for edges that
-// came out of a built graph.
-func (e Edge) CallerKey() string {
-	if e.callerKey != "" {
-		return e.callerKey
-	}
-	return e.Caller.Key()
-}
-
-// CalleeKey returns e.Callee.Key() without re-rendering it for edges that
-// came out of a built graph.
-func (e Edge) CalleeKey() string {
-	if e.calleeKey != "" {
-		return e.calleeKey
-	}
-	return e.Callee.Key()
 }
 
 // Entry is a framework-invoked entry point.
@@ -95,11 +70,6 @@ type Graph struct {
 	out     map[string][]Edge // caller Sig.Key -> outgoing edges
 	in      map[string][]Edge // callee Sig.Key -> incoming edges
 	methods map[string]*jimple.Method
-	keyOf   map[*jimple.Method]string // inverse of methods
-
-	// intern deduplicates key strings during construction; every edge and
-	// node key is allocated once per graph, not once per reference.
-	intern *jimple.Interner
 }
 
 // Options tunes graph construction.
@@ -132,15 +102,11 @@ func BuildWith(h *hierarchy.Hierarchy, manifest *android.Manifest, opts Options)
 		out:      make(map[string][]Edge),
 		in:       make(map[string][]Edge),
 		methods:  make(map[string]*jimple.Method),
-		keyOf:    make(map[*jimple.Method]string),
-		intern:   jimple.NewInterner(),
 	}
 	for _, c := range h.BodiedClasses() {
 		for _, m := range c.Methods {
 			if m.HasBody() {
-				k := g.intern.SigKey(m.Sig)
-				g.methods[k] = m
-				g.keyOf[m] = k
+				g.methods[m.Sig.Key()] = m
 			}
 		}
 	}
@@ -156,13 +122,12 @@ func BuildWith(h *hierarchy.Hierarchy, manifest *android.Manifest, opts Options)
 			if edges[i].Site != edges[j].Site {
 				return edges[i].Site < edges[j].Site
 			}
-			return edges[i].calleeKey < edges[j].calleeKey
+			return edges[i].Callee.Key() < edges[j].Callee.Key()
 		})
 	}
 	sort.Slice(g.entries, func(i, j int) bool {
-		return g.keyOf[g.entries[i].Method] < g.keyOf[g.entries[j].Method]
+		return g.entries[i].Method.Sig.Key() < g.entries[j].Method.Sig.Key()
 	})
-	g.intern = nil // construction done; release the table
 	return g
 }
 
@@ -173,7 +138,7 @@ func (g *Graph) discoverEntries() {
 			if m == nil || !m.HasBody() || m.Sig.Class != c.Name {
 				return
 			}
-			mk := g.keyOf[m]
+			mk := m.Sig.Key()
 			if seen[mk] {
 				return
 			}
@@ -230,7 +195,7 @@ func (g *Graph) addEdgesFrom(m *jimple.Method, opts Options) {
 // task.execute() or handler.post(r) creates edges to the callbacks defined
 // on the dispatch target's declared type.
 func (g *Graph) addAsyncEdges(m *jimple.Method, site int, inv jimple.InvokeExpr) {
-	invSub := g.intern.SubSigKey(inv.Callee)
+	invSub := inv.Callee.SubSigKey()
 	for _, d := range android.AsyncDispatches() {
 		if invSub != d.TriggerSubsig {
 			continue
@@ -281,15 +246,14 @@ func (g *Graph) asyncTargetType(m *jimple.Method, inv jimple.InvokeExpr, argInde
 }
 
 func (g *Graph) addEdge(e Edge) {
-	e.callerKey = g.intern.SigKey(e.Caller)
-	e.calleeKey = g.intern.SigKey(e.Callee)
-	for _, prev := range g.out[e.callerKey] {
-		if prev.Site == e.Site && prev.Kind == e.Kind && prev.calleeKey == e.calleeKey {
+	callerKey, calleeKey := e.Caller.Key(), e.Callee.Key()
+	for _, prev := range g.out[callerKey] {
+		if prev.Site == e.Site && prev.Kind == e.Kind && prev.Callee.Key() == calleeKey {
 			return
 		}
 	}
-	g.out[e.callerKey] = append(g.out[e.callerKey], e)
-	g.in[e.calleeKey] = append(g.in[e.calleeKey], e)
+	g.out[callerKey] = append(g.out[callerKey], e)
+	g.in[calleeKey] = append(g.in[calleeKey], e)
 }
 
 // Entries returns the discovered entry points (sorted by signature).
@@ -297,15 +261,6 @@ func (g *Graph) Entries() []Entry { return g.entries }
 
 // Method returns the body-bearing method with the given signature key.
 func (g *Graph) Method(key string) *jimple.Method { return g.methods[key] }
-
-// MethodKey returns m's signature key: the string the graph was built
-// with for a body-bearing method, rendered afresh for any other.
-func (g *Graph) MethodKey(m *jimple.Method) string {
-	if k, ok := g.keyOf[m]; ok {
-		return k
-	}
-	return m.Sig.Key()
-}
 
 // NumMethods returns the count of body-bearing methods.
 func (g *Graph) NumMethods() int { return len(g.methods) }
@@ -335,7 +290,7 @@ func (g *Graph) ReachableFrom(start jimple.Sig) map[string]bool {
 		k := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, e := range g.out[k] {
-			tk := e.CalleeKey()
+			tk := e.Callee.Key()
 			if !seen[tk] {
 				seen[tk] = true
 				stack = append(stack, tk)
@@ -382,7 +337,7 @@ func (g *Graph) CallStack(entry jimple.Sig, targetKey string) []Frame {
 	for qi := 0; qi < len(visited); qi++ {
 		cur := visited[qi]
 		for _, e := range g.out[cur.key] {
-			tk := e.CalleeKey()
+			tk := e.Callee.Key()
 			if _, seen := index[tk]; seen {
 				continue
 			}

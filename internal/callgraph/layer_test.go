@@ -18,14 +18,14 @@ func sortedEdges(es []callgraph.Edge) []callgraph.Edge {
 	out := append([]callgraph.Edge(nil), es...)
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
-		if a.CallerKey() != b.CallerKey() {
-			return a.CallerKey() < b.CallerKey()
+		if a.Caller.Key() != b.Caller.Key() {
+			return a.Caller.Key() < b.Caller.Key()
 		}
 		if a.Site != b.Site {
 			return a.Site < b.Site
 		}
-		if a.CalleeKey() != b.CalleeKey() {
-			return a.CalleeKey() < b.CalleeKey()
+		if a.Callee.Key() != b.Callee.Key() {
+			return a.Callee.Key() < b.Callee.Key()
 		}
 		return a.Kind < b.Kind
 	})
@@ -99,7 +99,7 @@ func TestLayeredGraphShadowing(t *testing.T) {
 	g := callgraph.Build(hierarchy.Layer(apimodel.Model(), app), man)
 	calls := map[string]bool{}
 	for _, e := range g.OutEdges("com.fx.Sync.onHandleIntent(android.content.Intent)void") {
-		calls[e.Kind.String()+" "+e.CalleeKey()] = true
+		calls[e.Kind.String()+" "+e.Callee.Key()] = true
 	}
 	for _, want := range []string{
 		"call android.app.Service.onCreate()void",

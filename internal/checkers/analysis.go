@@ -443,20 +443,14 @@ func (a *analysis) collectAppMethods() []*jimple.Method {
 			}
 		}
 	}
-	// Sort on the keys the call graph already rendered; the comparator
-	// used to re-render both keys per comparison.
+	// Sort on keys read once per method, not once per comparison.
 	keys := make([]string, len(out))
 	for i, m := range out {
-		keys[i] = a.cg.MethodKey(m)
+		keys[i] = m.Sig.Key()
 	}
 	sort.Sort(&methodKeySorter{methods: out, keys: keys})
 	return out
 }
-
-// methodKey returns m's signature key, as interned by the call graph for
-// body-bearing methods, rendering it otherwise. The checkers look methods
-// up by key constantly, and re-rendering was a top allocation source.
-func (a *analysis) methodKey(m *jimple.Method) string { return a.cg.MethodKey(m) }
 
 type methodKeySorter struct {
 	methods []*jimple.Method
@@ -512,7 +506,7 @@ func (a *analysis) summaryResolver(m *jimple.Method) dataflow.SummaryResolver {
 	if set == nil {
 		return nil
 	}
-	edges := a.cg.OutEdges(a.methodKey(m))
+	edges := a.cg.OutEdges(m.Sig.Key())
 	return func(site int) []*dataflow.TaintSummary {
 		a.ctx.sumRequests.Add(1)
 		var out []*dataflow.TaintSummary
@@ -520,7 +514,7 @@ func (a *analysis) summaryResolver(m *jimple.Method) dataflow.SummaryResolver {
 			if e.Site != site || e.Kind != callgraph.EdgeCall {
 				continue
 			}
-			if sum := set.Of(e.CalleeKey()); sum != nil {
+			if sum := set.Of(e.Callee.Key()); sum != nil {
 				out = append(out, sum)
 			}
 		}
@@ -561,13 +555,13 @@ func (a *analysis) newReport(site *requestSite, cause report.Cause, msg string) 
 		Cause:         cause,
 		Lib:           site.lib.Key,
 		Message:       msg,
-		Location:      report.Loc{Method: site.method.Sig, Stmt: site.stmt},
+		Location:      report.At(site.method.Sig, site.stmt),
 		Impacts:       report.Impacts(cause),
 		Context:       ctx,
 		FixSuggestion: report.Suggest(cause, ctx, site.lib),
 	}
 	if site.entrySig.Name != "" {
-		for _, f := range a.cg.CallStack(site.entrySig, a.methodKey(site.method)) {
+		for _, f := range a.cg.CallStack(site.entrySig, site.method.Sig.Key()) {
 			r.CallStack = append(r.CallStack, report.Frame{Method: f.Method.Key(), Site: f.Site})
 		}
 	}

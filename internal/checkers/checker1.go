@@ -23,7 +23,7 @@ func (a *analysis) checkRequestSettings() findings {
 	if a.opts.GuardSensitiveConnCheck {
 		guarding := a.guardingCheckSites()
 		isCheck = func(m *jimple.Method, stmt int, inv jimple.InvokeExpr) bool {
-			return android.IsConnectivityCheck(inv.Callee) && guarding[a.methodKey(m)][stmt]
+			return android.IsConnectivityCheck(inv.Callee) && guarding[m.Sig.Key()][stmt]
 		}
 	}
 	// The must-precede analysis runs over the feasibility-pruned CFGs (see
@@ -41,7 +41,7 @@ func (a *analysis) checkRequestSettings() findings {
 // checkSiteSettings emits one site's setting warnings in the fixed order
 // conn-check, timeout, retry-config.
 func (a *analysis) checkSiteSettings(mp *dataflow.MustPrecede, site *requestSite, f *findings) {
-	mKey := a.methodKey(site.method)
+	mKey := site.method.Sig.Key()
 	if !mp.FactBefore(mKey, site.stmt) {
 		f.stats.MissConnCheck++
 		f.report(a.newReport(site, report.CauseNoConnectivityCheck,
@@ -111,7 +111,7 @@ func (a *analysis) guardingCheckSites() map[string]map[int]bool {
 	out := make(map[string]map[int]bool)
 	for mi, sites := range perMethod {
 		if sites != nil {
-			out[a.methodKey(a.methods[mi])] = sites
+			out[a.methods[mi].Sig.Key()] = sites
 		}
 	}
 	return out

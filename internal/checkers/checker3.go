@@ -61,7 +61,7 @@ func (a *analysis) checkSiteNotifications(site *requestSite, f *findings) {
 		}
 		r := a.newReport(site, report.CauseNoFailureNotification,
 			fmt.Sprintf("No failure notification for user-initiated %s request", site.lib.Name))
-		r.Location = report.Loc{Method: loc.Sig, Stmt: stmt}
+		r.Location = report.At(loc.Sig, stmt)
 		f.report(r)
 	}
 	// Error-type usage: only callbacks that expose typed errors
@@ -73,7 +73,7 @@ func (a *analysis) checkSiteNotifications(site *requestSite, f *findings) {
 		} else {
 			r := a.newReport(site, report.CauseNoErrorTypeCheck,
 				"Error callback ignores the error object's type; different errors need different handling")
-			r.Location = report.Loc{Method: cbMethod.Sig, Stmt: 0}
+			r.Location = report.At(cbMethod.Sig, 0)
 			f.report(r)
 		}
 	}
@@ -183,7 +183,7 @@ func (a *analysis) scopeFrom(root *jimple.Method) []*jimple.Method {
 		key   string
 		depth int
 	}
-	rootKey := a.methodKey(root)
+	rootKey := root.Sig.Key()
 	seen := map[string]bool{rootKey: true}
 	out := []*jimple.Method{root}
 	queue := []item{{key: rootKey}}
@@ -194,7 +194,7 @@ func (a *analysis) scopeFrom(root *jimple.Method) []*jimple.Method {
 			continue
 		}
 		for _, e := range a.cg.OutEdges(cur.key) {
-			tk := e.CalleeKey()
+			tk := e.Callee.Key()
 			if seen[tk] {
 				continue
 			}

@@ -49,7 +49,7 @@ func (a *analysis) checkSiteResponse(site *requestSite, f *findings) {
 		r := a.newReport(site, report.CauseNoResponseCheck,
 			fmt.Sprintf("Response of %s.%s() used without a validity check",
 				jimple.SimpleName(site.inv.Callee.Class), site.inv.Callee.Name))
-		r.Location = report.Loc{Method: site.method.Sig, Stmt: useStmt}
+		r.Location = report.At(site.method.Sig, useStmt)
 		f.report(r)
 	}
 }
@@ -117,7 +117,7 @@ func (a *analysis) checkCallbackResponseBody(m *jimple.Method, lib *apimodel.Lib
 				Cause:         report.CauseNoResponseCheck,
 				Lib:           lib.Key,
 				Message:       "Callback response used without a validity check",
-				Location:      report.Loc{Method: m.Sig, Stmt: useStmt},
+				Location:      report.At(m.Sig, useStmt),
 				Impacts:       report.Impacts(report.CauseNoResponseCheck),
 				Context:       ctx,
 				FixSuggestion: report.Suggest(report.CauseNoResponseCheck, ctx, lib),

@@ -41,7 +41,7 @@ func (a *analysis) checkStaleChecks() findings {
 
 func (a *analysis) checkSiteStaleness(mp *dataflow.MustPrecede, site *requestSite, f *findings) {
 	m := site.method
-	if !mp.FactBefore(a.methodKey(m), site.stmt) {
+	if !mp.FactBefore(m.Sig.Key(), site.stmt) {
 		return // unguarded: Checker 1 reports the missing check
 	}
 	f.stats.GuardedSites++
@@ -90,7 +90,7 @@ func (a *analysis) checkSiteStaleness(mp *dataflow.MustPrecede, site *requestSit
 // reachedViaAsyncDispatch reports whether any call-graph edge into m is a
 // framework-mediated asynchronous dispatch.
 func (a *analysis) reachedViaAsyncDispatch(m *jimple.Method) bool {
-	for _, e := range a.cg.InEdges(a.methodKey(m)) {
+	for _, e := range a.cg.InEdges(m.Sig.Key()) {
 		if e.Kind == callgraph.EdgeAsync {
 			return true
 		}

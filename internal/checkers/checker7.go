@@ -78,7 +78,7 @@ func (a *analysis) endpointSite(m *jimple.Method, stmt int, inv jimple.InvokeExp
 	} else if len(lib.Targets) > 0 {
 		site.target = &lib.Targets[0]
 	}
-	entries := a.ctx.EntriesReaching(a.methodKey(m))
+	entries := a.ctx.EntriesReaching(m.Sig.Key())
 	if len(entries) > 0 {
 		a.resolveContext(site, entries)
 	} else {

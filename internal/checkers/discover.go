@@ -37,7 +37,7 @@ func (a *analysis) discoverSites() findings {
 // discoverMethodSites finds and resolves the request sites of one method.
 func (a *analysis) discoverMethodSites(m *jimple.Method) []*requestSite {
 	var out []*requestSite
-	mKey := a.methodKey(m)
+	mKey := m.Sig.Key()
 	var entries []callgraph.Entry
 	entriesResolved := false
 	for i, s := range m.Body {

@@ -10,7 +10,6 @@ import (
 	"repro/internal/apk"
 	"repro/internal/callgraph"
 	"repro/internal/hierarchy"
-	"repro/internal/jimple"
 	"repro/internal/report"
 )
 
@@ -214,13 +213,11 @@ func AnalyzeContext(ctx context.Context, app *apk.App, reg *apimodel.Registry, o
 		diag.add(stages[i].name, durs[i], stages[i].items, len(outs[i].reports))
 	}
 	// Sort on location keys rendered once per report, not once per
-	// comparison (the closure used to re-render up to four keys per call).
+	// comparison: a report's Loc holds a Sig without a cached key
+	// (report.At).
 	reportKeys := make([]string, len(res.Reports))
-	{
-		intern := jimple.NewInterner()
-		for i := range res.Reports {
-			reportKeys[i] = intern.SigKey(res.Reports[i].Location.Method)
-		}
+	for i := range res.Reports {
+		reportKeys[i] = res.Reports[i].Location.Method.Key()
 	}
 	sort.Stable(&reportSorter{reports: res.Reports, keys: reportKeys})
 	// Dynamic validation replays each warning's witness entry point under

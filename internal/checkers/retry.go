@@ -78,7 +78,7 @@ func (a *analysis) loopPerformsRequest(m *jimple.Method, loop *cfg.Loop) bool {
 			return true
 		}
 		// Walk synchronous callees.
-		for _, e := range a.cg.OutEdges(a.methodKey(m)) {
+		for _, e := range a.cg.OutEdges(m.Sig.Key()) {
 			if e.Site != i {
 				continue
 			}
@@ -203,11 +203,11 @@ func (a *analysis) stmtBacksOff(m *jimple.Method, i int) bool {
 	if isBackoffSig(inv.Callee) {
 		return true
 	}
-	for _, e := range a.cg.OutEdges(a.methodKey(m)) {
+	for _, e := range a.cg.OutEdges(m.Sig.Key()) {
 		if e.Site != i {
 			continue
 		}
-		if callee := a.cg.Method(e.CalleeKey()); callee != nil {
+		if callee := a.cg.Method(e.Callee.Key()); callee != nil {
 			for _, cs := range callee.Body {
 				if cinv, okc := jimple.InvokeOf(cs); okc && isBackoffSig(cinv.Callee) {
 					return true
@@ -274,7 +274,7 @@ func (a *analysis) syntheticLoopSite(m *jimple.Method, loop *cfg.Loop) *requestS
 	if site.target == nil && len(site.lib.Targets) > 0 {
 		site.target = &site.lib.Targets[0]
 	}
-	entries := a.ctx.EntriesReaching(a.methodKey(m))
+	entries := a.ctx.EntriesReaching(m.Sig.Key())
 	if len(entries) > 0 {
 		a.resolveContext(site, entries)
 	} else {

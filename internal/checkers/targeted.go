@@ -7,7 +7,6 @@ import (
 	"repro/internal/android"
 	"repro/internal/apimodel"
 	"repro/internal/dex"
-	"repro/internal/jimple"
 )
 
 // This file is the demand-driven closure engine behind -mode=targeted
@@ -75,17 +74,12 @@ func computeTargetedClosure(records []dex.MethodRef, reg *apimodel.Registry, man
 	recsBySubsig := make(map[string][]int)
 	callersByName := make(map[string][]int)
 	callersBySubsig := make(map[string][]int)
-	// Subsignatures repeat heavily across records (every onClick, every
-	// run()); intern them once and remember each record's own subsig so the
-	// rule passes below never re-render one.
-	intern := jimple.NewInterner()
-	recSub := make([]string, len(records))
 	for i := range records {
 		r := &records[i]
 		byClass[r.Sig.Class] = append(byClass[r.Sig.Class], i)
 		recsByName[r.Sig.Name] = append(recsByName[r.Sig.Name], i)
-		recSub[i] = intern.SubSigKey(r.Sig)
-		recsBySubsig[recSub[i]] = append(recsBySubsig[recSub[i]], i)
+		sub := r.Sig.SubSigKey()
+		recsBySubsig[sub] = append(recsBySubsig[sub], i)
 		seenName := make(map[string]bool, len(r.Calls))
 		seenSub := make(map[string]bool, len(r.Calls))
 		for _, c := range r.Calls {
@@ -93,7 +87,7 @@ func computeTargetedClosure(records []dex.MethodRef, reg *apimodel.Registry, man
 				seenName[c.Name] = true
 				callersByName[c.Name] = append(callersByName[c.Name], i)
 			}
-			if sub := intern.SubSigKey(c); !seenSub[sub] {
+			if sub := c.SubSigKey(); !seenSub[sub] {
 				seenSub[sub] = true
 				callersBySubsig[sub] = append(callersBySubsig[sub], i)
 			}
@@ -150,7 +144,8 @@ func computeTargetedClosure(records []dex.MethodRef, reg *apimodel.Registry, man
 	seedCount := 0
 	for i := range records {
 		r := &records[i]
-		seed := callbackSubsigs[recSub[i]] || networkHandlerSubsigs[recSub[i]]
+		sub := r.Sig.SubSigKey()
+		seed := callbackSubsigs[sub] || networkHandlerSubsigs[sub]
 		for _, c := range r.Calls {
 			if seed {
 				break
@@ -172,7 +167,7 @@ func computeTargetedClosure(records []dex.MethodRef, reg *apimodel.Registry, man
 	if enableICC {
 		for i := range records {
 			for _, c := range records[i].Calls {
-				switch intern.SubSigKey(c) {
+				switch c.SubSigKey() {
 				case iccStartActivitySubsig:
 					add(i)
 				case iccSendBroadcastSubsig:
@@ -196,7 +191,7 @@ func computeTargetedClosure(records []dex.MethodRef, reg *apimodel.Registry, man
 				add(j)
 			}
 		}
-		for _, trig := range calleeTriggers[recSub[i]] {
+		for _, trig := range calleeTriggers[r.Sig.SubSigKey()] {
 			if processedTrigger[trig] {
 				continue
 			}
@@ -249,7 +244,7 @@ func computeTargetedClosure(records []dex.MethodRef, reg *apimodel.Registry, man
 				for _, j := range recsByName[c.Name] {
 					addClass(records[j].Sig.Class)
 				}
-				for _, calleeSub := range triggerCallees[intern.SubSigKey(c)] {
+				for _, calleeSub := range triggerCallees[c.SubSigKey()] {
 					for _, j := range recsBySubsig[calleeSub] {
 						addClass(records[j].Sig.Class)
 					}

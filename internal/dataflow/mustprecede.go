@@ -143,7 +143,7 @@ func (mp *MustPrecede) solve() {
 			if e.Kind != callgraph.EdgeCall {
 				continue
 			}
-			if callee := states[e.CalleeKey()]; callee != nil {
+			if callee := states[e.Callee.Key()]; callee != nil {
 				if st.siteCallees == nil {
 					st.siteCallees = make(map[int][]*mpMethodState)
 				}
@@ -156,7 +156,7 @@ func (mp *MustPrecede) solve() {
 			}
 		}
 		for _, e := range mp.cg.InEdges(k) {
-			caller := states[e.CallerKey()]
+			caller := states[e.Caller.Key()]
 			if caller == nil {
 				continue
 			}

@@ -230,7 +230,7 @@ func (b *summaryBuilder) demandedClosure(keys, roots []string) []string {
 		k := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, e := range b.cg.OutEdges(k) {
-			ck := e.CalleeKey()
+			ck := e.Callee.Key()
 			if e.Kind != callgraph.EdgeCall || want[ck] {
 				continue
 			}
@@ -260,7 +260,7 @@ func (b *summaryBuilder) condense(keys []string) [][]string {
 		var succs []string
 		seen := make(map[string]bool)
 		for _, e := range b.cg.OutEdges(k) {
-			ck := e.CalleeKey()
+			ck := e.Callee.Key()
 			if e.Kind != callgraph.EdgeCall || seen[ck] {
 				continue
 			}
@@ -339,7 +339,7 @@ func (b *summaryBuilder) computeSCC(scc []string) error {
 	recursive := len(scc) > 1
 	if !recursive {
 		for _, e := range b.cg.OutEdges(scc[0]) {
-			if e.Kind == callgraph.EdgeCall && e.CalleeKey() == scc[0] {
+			if e.Kind == callgraph.EdgeCall && e.Callee.Key() == scc[0] {
 				recursive = true
 				break
 			}
@@ -377,7 +377,7 @@ func (b *summaryBuilder) calleeAt(k string) map[int][]*TaintSummary {
 		if e.Kind != callgraph.EdgeCall {
 			continue
 		}
-		ck := e.CalleeKey()
+		ck := e.Callee.Key()
 		if _, ok := b.inSet[ck]; !ok {
 			continue
 		}

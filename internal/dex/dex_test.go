@@ -23,6 +23,7 @@ const sampleSrc = `class com.app.Main extends android.app.Activity implements an
     c = new com.turbomanage.httpclient.BasicHttpClient
     specialinvoke c com.turbomanage.httpclient.BasicHttpClient.<init>()void
     virtualinvoke c com.turbomanage.httpclient.BasicHttpClient.setMaxRetries(int)void 5
+    virtualinvoke c com.turbomanage.httpclient.BasicHttpClient.setMaxRetries(long)void 5
     r = virtualinvoke c com.turbomanage.httpclient.BasicHttpClient.get(java.lang.String)com.turbomanage.httpclient.HttpResponse "http://example.com/a b"
     L1:
     if r == null goto L3
@@ -37,6 +38,7 @@ const sampleSrc = `class com.app.Main extends android.app.Activity implements an
     trap L0 L1 L2 java.io.IOException
   }
   method abstract helper(int,java.lang.String)boolean
+  method abstract helper(long,java.lang.String)boolean
   method static util()int {
     local x int
     local y int

@@ -12,7 +12,8 @@ import (
 // FuzzDecode drives the binary decoder with untrusted bytes: any input
 // must either decode cleanly or return an error — never panic (decode
 // panics surface in core as ErrDecode regressions). Valid inputs must
-// round-trip canonically. Seeds come from the round-trip tests' encoded
+// round-trip canonically, and every decoded method and invoke signature,
+// eager or lazy, must answer Key and SubSigKey with a fresh render. Seeds come from the round-trip tests' encoded
 // corpus apps plus structural mutations of them.
 func FuzzDecode(f *testing.F) {
 	apps, err := corpus.GenerateCorpus(7)
@@ -57,6 +58,23 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
+		checkSigKeys(t, prog)
+		// The lazy path decodes the same references through the skim and,
+		// later, Materialize; both share its memo.
+		l, err := dex.DecodeLazy(data)
+		if err != nil {
+			t.Fatalf("lazy decode rejects what eager decode accepts: %v", err)
+		}
+		for _, r := range l.MethodRefs() {
+			checkSigKey(t, r.Sig)
+			for _, c := range r.Calls {
+				checkSigKey(t, c)
+			}
+		}
+		if err := l.MaterializeAll(); err != nil {
+			t.Fatal(err)
+		}
+		checkSigKeys(t, l.Program())
 		// A successfully decoded program must re-encode, and the decoder
 		// must accept its own canonical form back.
 		re := dex.Encode(prog)
@@ -68,4 +86,61 @@ func FuzzDecode(f *testing.F) {
 			t.Fatal("canonical encoding not a fixpoint")
 		}
 	})
+}
+
+// checkSigKey asserts that a decoded Sig's Key and SubSigKey equal a
+// fresh render of its fields. The decoder caches each reference's key;
+// a cached key must never disagree with the fields it was rendered from.
+func checkSigKey(t *testing.T, s jimple.Sig) {
+	t.Helper()
+	fresh := jimple.MakeSig(s.Class, s.Name, s.Params, s.Ret)
+	if s.Key() != fresh.Key() || s.SubSigKey() != fresh.SubSigKey() {
+		t.Fatalf("decoded Sig answers %q / %q, fresh render %q / %q",
+			s.Key(), s.SubSigKey(), fresh.Key(), fresh.SubSigKey())
+	}
+}
+
+// checkSigKeys applies checkSigKey to every method signature of prog and
+// to every invoke callee in its bodies, nested ones included.
+func checkSigKeys(t *testing.T, prog *jimple.Program) {
+	t.Helper()
+	var value func(v jimple.Value)
+	value = func(v jimple.Value) {
+		switch v := v.(type) {
+		case jimple.InvokeExpr:
+			checkSigKey(t, v.Callee)
+			for _, a := range v.Args {
+				value(a)
+			}
+		case jimple.BinExpr:
+			value(v.L)
+			value(v.R)
+		case jimple.NegExpr:
+			value(v.V)
+		case jimple.CastExpr:
+			value(v.V)
+		case jimple.InstanceOfExpr:
+			value(v.V)
+		}
+	}
+	for _, c := range prog.Classes() {
+		for _, m := range c.Methods {
+			checkSigKey(t, m.Sig)
+			for _, st := range m.Body {
+				switch st := st.(type) {
+				case *jimple.AssignStmt:
+					value(st.LHS)
+					value(st.RHS)
+				case *jimple.InvokeStmt:
+					value(st.Call)
+				case *jimple.IfStmt:
+					value(st.Cond)
+				case *jimple.ReturnStmt:
+					value(st.V)
+				case *jimple.ThrowStmt:
+					value(st.V)
+				}
+			}
+		}
+	}
 }

@@ -90,8 +90,9 @@ type bodiedRec struct {
 // Body=nil (HasBody false) until their class is materialized. Lazy is not
 // safe for concurrent mutation; materialize before sharing the program.
 type Lazy struct {
-	data []byte
-	pool []string
+	// dec is the decoder that skimmed the container. Materialize decodes
+	// bodies with it, so they share its pool and method-reference memo.
+	dec *decoder
 
 	prog      *jimple.Program
 	classRecs map[string][]bodiedRec
@@ -109,7 +110,6 @@ type Lazy struct {
 // eager decoder core statement for statement.
 func DecodeLazy(data []byte) (*Lazy, error) {
 	l := &Lazy{
-		data:         data,
 		classRecs:    make(map[string][]bodiedRec),
 		materialized: make(map[string]bool),
 	}
@@ -119,7 +119,7 @@ func DecodeLazy(data []byte) (*Lazy, error) {
 		return nil, fmt.Errorf("dex: %w (at offset %d)", err, d.pos)
 	}
 	l.prog = prog
-	l.pool = d.pool
+	l.dec = d
 	l.finalize()
 	return l, nil
 }
@@ -193,7 +193,8 @@ func (l *Lazy) Materialize(class string) error {
 	}
 	l.materialized[class] = true
 	for _, br := range l.classRecs[class] {
-		d := &decoder{data: l.data, pos: br.start, pool: l.pool}
+		d := l.dec
+		d.pos = br.start
 		if err := d.body(br.m); err != nil {
 			return fmt.Errorf("dex: %w (at offset %d)", err, d.pos)
 		}
@@ -226,8 +227,8 @@ func (l *Lazy) MaterializeAll() error {
 // before any method record is consulted.
 func (l *Lazy) TargetSiteSearch(wanted []jimple.Sig) []string {
 	if l.poolSet == nil {
-		l.poolSet = make(map[string]bool, len(l.pool))
-		for _, s := range l.pool {
+		l.poolSet = make(map[string]bool, len(l.dec.pool))
+		for _, s := range l.dec.pool {
 			l.poolSet[s] = true
 		}
 	}

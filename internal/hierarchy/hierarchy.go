@@ -85,7 +85,6 @@ func Layer(base *Hierarchy, p *jimple.Program) *Hierarchy {
 		dispatchMemo: make(map[dispatchKey][]*jimple.Method),
 	}
 	classes := p.Classes()
-	intern := jimple.NewInterner()
 	for _, c := range classes {
 		if c.Super != "" {
 			h.supersOf[c.Name] = append(h.supersOf[c.Name], c.Super)
@@ -97,7 +96,7 @@ func Layer(base *Hierarchy, p *jimple.Program) *Hierarchy {
 		}
 		mm := make(map[string]*jimple.Method, len(c.Methods))
 		for _, m := range c.Methods {
-			k := intern.SubSigKey(m.Sig)
+			k := m.Sig.SubSigKey()
 			if _, dup := mm[k]; !dup {
 				mm[k] = m
 			}

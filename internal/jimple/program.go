@@ -148,6 +148,18 @@ func (p *Program) Merge(other *Program) {
 	}
 }
 
+// RenderKeys caches the rendered key in the signature of every method p
+// declares (Sig.Keyed). The framework and library-stub programs, built
+// once and shared by every scan, call it before they are published, so
+// each scan's lookups into them read keys instead of rendering them.
+func (p *Program) RenderKeys() {
+	for _, c := range p.classes {
+		for _, m := range c.Methods {
+			m.Sig = m.Sig.Keyed()
+		}
+	}
+}
+
 // NumStmts returns the total number of statements across all method
 // bodies; a cheap size metric used in reports and benchmarks.
 func (p *Program) NumStmts() int {

@@ -77,70 +77,132 @@ func OuterClass(t string) string {
 // return type. Sig values are comparable only via Key (slices are not
 // comparable), and Key is the canonical form used in maps throughout the
 // analyses.
+//
+// A Sig may carry its rendered key. The decoders (dex, ParseSigKey) and
+// Keyed fill it, so the many later Key and SubSigKey calls of a scan are
+// field reads instead of renders. The cached key is served only while it
+// still spells the exported fields: a copy whose Class, Name, Params or
+// Ret was reassigned renders afresh and never answers with a stale key.
 type Sig struct {
 	Class  string
 	Name   string
 	Params []string
 	Ret    string
+
+	key string // rendering of the fields above, or "" when not rendered
 }
 
-// MakeSig is shorthand for constructing a Sig.
+// MakeSig is shorthand for constructing a Sig. It does not render the key.
 func MakeSig(class, name string, params []string, ret string) Sig {
 	return Sig{Class: class, Name: name, Params: params, Ret: ret}
+}
+
+// Keyed returns a copy of s carrying its rendered key. The copy's Class,
+// Name and Ret are substrings of that key, which turns most of the
+// validity check in Key into pointer comparisons; Params is shared with s.
+func (s Sig) Keyed() Sig {
+	key := s.render(true)
+	s.Name = key[len(s.Class)+1 : len(s.Class)+1+len(s.Name)]
+	s.Class = key[:len(s.Class)]
+	s.Ret = key[len(key)-len(s.Ret):]
+	s.key = key
+	return s
 }
 
 // Key returns the canonical string form of the signature,
 // e.g. "com.android.volley.RequestQueue.add(com.android.volley.Request)void".
 func (s Sig) Key() string {
-	var b strings.Builder
-	b.WriteString(s.Class)
-	b.WriteByte('.')
-	b.WriteString(s.Name)
-	b.WriteByte('(')
-	for i, p := range s.Params {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(p)
+	if s.keyed() {
+		return s.key
 	}
-	b.WriteByte(')')
-	b.WriteString(s.Ret)
-	return b.String()
+	return s.render(true)
 }
 
 // SubSigKey returns the signature key without the declaring class —
 // the "subsignature" used for override matching during virtual dispatch.
 func (s Sig) SubSigKey() string {
-	var b strings.Builder
-	b.WriteString(s.Name)
-	b.WriteByte('(')
+	if s.keyed() {
+		return s.key[len(s.Class)+1:]
+	}
+	return s.render(false)
+}
+
+// keyed reports whether s.key is exactly the rendering of s's fields. It
+// walks the key piece by piece without allocating. The length check comes
+// first, so every slice below is in range; for a Sig whose fields are
+// substrings of its key (Keyed, ParseSigKey) each comparison is a length
+// and pointer check.
+func (s *Sig) keyed() bool {
+	k := s.key
+	if k == "" || len(k) != s.keyLen() || k[:len(s.Class)] != s.Class {
+		return false
+	}
+	k = k[len(s.Class):]
+	if k[0] != '.' || k[1:1+len(s.Name)] != s.Name {
+		return false
+	}
+	k = k[1+len(s.Name):]
+	if k[0] != '(' {
+		return false
+	}
+	k = k[1:]
 	for i, p := range s.Params {
 		if i > 0 {
-			b.WriteByte(',')
+			if k[0] != ',' {
+				return false
+			}
+			k = k[1:]
 		}
-		b.WriteString(p)
+		if k[:len(p)] != p {
+			return false
+		}
+		k = k[len(p):]
 	}
-	b.WriteByte(')')
-	b.WriteString(s.Ret)
-	return b.String()
+	return k[0] == ')' && k[1:] == s.Ret
 }
 
-// AppendKey appends the canonical Key form of s to dst and returns the
-// extended slice. The bytes are identical to Key(); hot paths use it with
-// a reused buffer to avoid the intermediate string allocation.
+// keyLen returns the length of s's rendered key.
+func (s *Sig) keyLen() int {
+	n := len(s.Class) + len(s.Name) + len(s.Ret) + 3 // '.', '(', ')'
+	for i, p := range s.Params {
+		if i > 0 {
+			n++
+		}
+		n += len(p)
+	}
+	return n
+}
+
+// AppendKey appends s's key to dst. Report rendering uses it: reports hold
+// Sigs without a cached key (report.At), and appending a key into the
+// report buffer allocates nothing.
 func (s Sig) AppendKey(dst []byte) []byte {
-	dst = append(dst, s.Class...)
-	dst = append(dst, '.')
-	return s.appendSubSig(dst)
+	if s.keyed() {
+		return append(dst, s.key...)
+	}
+	return s.appendKey(dst, true)
 }
 
-// AppendSubSigKey appends the canonical SubSigKey form of s to dst,
-// byte-identical to SubSigKey().
-func (s Sig) AppendSubSigKey(dst []byte) []byte {
-	return s.appendSubSig(dst)
+// render returns the key, or with withClass false the subsignature key,
+// in one allocation: keys of up to renderBuf bytes are built on the stack.
+func (s *Sig) render(withClass bool) string {
+	var buf [renderBuf]byte
+	return string(s.appendKey(buf[:0], withClass))
 }
 
-func (s Sig) appendSubSig(dst []byte) []byte {
+// renderBuf is render's stack buffer size. The longest key of the
+// evaluation corpus and the framework model has 152 bytes; a longer key
+// still renders, with one more allocation.
+const renderBuf = 192
+
+// appendKey is the one place the canonical form is spelled out:
+// Class '.' Name '(' Params joined by ',' ')' Ret, without the class part
+// when withClass is false.
+func (s *Sig) appendKey(dst []byte, withClass bool) []byte {
+	if withClass {
+		dst = append(dst, s.Class...)
+		dst = append(dst, '.')
+	}
 	dst = append(dst, s.Name...)
 	dst = append(dst, '(')
 	for i, p := range s.Params {
@@ -156,7 +218,8 @@ func (s Sig) appendSubSig(dst []byte) []byte {
 func (s Sig) String() string { return s.Key() }
 
 // WithClass returns a copy of s redeclared on class c. Used when resolving
-// an inherited method to a concrete implementing class.
+// an inherited method to a concrete implementing class. The copy carries
+// no cached key.
 func (s Sig) WithClass(c string) Sig {
 	return Sig{Class: c, Name: s.Name, Params: s.Params, Ret: s.Ret}
 }
@@ -182,5 +245,7 @@ func ParseSigKey(key string) (Sig, error) {
 	if ret == "" {
 		return Sig{}, fmt.Errorf("jimple: signature key %q lacks a return type", key)
 	}
-	return Sig{Class: qual[:dot], Name: qual[dot+1:], Params: params, Ret: ret}, nil
+	// The fields are substrings of key and spell it exactly, so the key
+	// is kept as the Sig's cached rendering.
+	return Sig{Class: qual[:dot], Name: qual[dot+1:], Params: params, Ret: ret, key: key}, nil
 }

@@ -8,7 +8,7 @@ package report
 import (
 	"encoding/json"
 	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/android"
 	"repro/internal/apimodel"
@@ -119,8 +119,21 @@ type Loc struct {
 	Stmt   int        `json:"stmt"`
 }
 
-func (l Loc) String() string {
-	return fmt.Sprintf("%s, stmt %d", l.Method.Key(), l.Stmt)
+// At returns the location of statement stmt in method m. The Loc holds a
+// bare copy of m, without the key a decoded Sig caches: a report must be
+// the same value whether the scan decoded a container, analysed an
+// in-memory program, or read the report back from a cache entry.
+func At(m jimple.Sig, stmt int) Loc {
+	return Loc{Method: jimple.Sig{Class: m.Class, Name: m.Name, Params: m.Params, Ret: m.Ret}, Stmt: stmt}
+}
+
+func (l Loc) String() string { return string(l.appendTo(nil)) }
+
+// appendTo appends the "<key>, stmt N" form of l to b.
+func (l Loc) appendTo(b []byte) []byte {
+	b = l.Method.AppendKey(b)
+	b = append(b, ", stmt "...)
+	return strconv.AppendInt(b, int64(l.Stmt), 10)
 }
 
 // Frame mirrors callgraph.Frame without importing it (keeps report free of
@@ -177,44 +190,66 @@ const (
 )
 
 // Render formats the report in the layout of the paper's Figure 7.
-func (r *Report) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "NPD Information\n  %s! at %s\n", r.Message, r.Location)
-	imps := make([]string, len(r.Impacts))
+func (r *Report) Render() string { return string(r.appendTo(nil)) }
+
+// appendTo appends r's Figure-7 text to b. It writes with appends rather
+// than fmt: RenderAll runs once per scanned app.
+func (r *Report) appendTo(b []byte) []byte {
+	b = append(b, "NPD Information\n  "...)
+	b = append(b, r.Message...)
+	b = append(b, "! at "...)
+	b = r.Location.appendTo(b)
+	b = append(b, "\nNPD impact\n  "...)
 	for i, im := range r.Impacts {
-		imps[i] = string(im)
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = append(b, im...)
 	}
-	fmt.Fprintf(&b, "NPD impact\n  %s\n", strings.Join(imps, ", "))
 	who := "background service"
 	note := "No user waiting; conserve energy and mobile data."
 	if r.Context.UserInitiated {
 		who = "user"
 		note = "Need to notify users if the operation fails."
 	}
-	fmt.Fprintf(&b, "Network request context\n  Request made by %s (%s). %s\n",
-		who, r.Context.Component, note)
+	b = append(b, "\nNetwork request context\n  Request made by "...)
+	b = append(b, who...)
+	b = append(b, " ("...)
+	b = append(b, r.Context.Component...)
+	b = append(b, "). "...)
+	b = append(b, note...)
+	b = append(b, '\n')
 	if len(r.CallStack) > 0 {
-		b.WriteString("Network request call stack\n")
+		b = append(b, "Network request call stack\n"...)
 		for i, f := range r.CallStack {
-			indent := strings.Repeat("-", i)
-			if f.Site >= 0 {
-				fmt.Fprintf(&b, "  %s> (%s: %d)\n", indent, f.Method, f.Site)
-			} else {
-				fmt.Fprintf(&b, "  %s> (%s)\n", indent, f.Method)
+			b = append(b, "  "...)
+			for j := 0; j < i; j++ {
+				b = append(b, '-')
 			}
+			b = append(b, "> ("...)
+			b = append(b, f.Method...)
+			if f.Site >= 0 {
+				b = append(b, ": "...)
+				b = strconv.AppendInt(b, int64(f.Site), 10)
+			}
+			b = append(b, ")\n"...)
 		}
 	}
-	fmt.Fprintf(&b, "Fix Suggestion\n  %s\n", r.FixSuggestion)
+	b = append(b, "Fix Suggestion\n  "...)
+	b = append(b, r.FixSuggestion...)
+	b = append(b, '\n')
 	if r.Validation != "" {
 		// Rendered only when the validation stage ran, so scans without
 		// -validate keep their historical byte-identical output.
-		fmt.Fprintf(&b, "Dynamic validation\n  %s", r.Validation)
+		b = append(b, "Dynamic validation\n  "...)
+		b = append(b, r.Validation...)
 		if r.ValidationNote != "" {
-			fmt.Fprintf(&b, ": %s", r.ValidationNote)
+			b = append(b, ": "...)
+			b = append(b, r.ValidationNote...)
 		}
-		b.WriteByte('\n')
+		b = append(b, '\n')
 	}
-	return b.String()
+	return b
 }
 
 // JSON renders the report as indented JSON.
@@ -275,12 +310,12 @@ func Suggest(c Cause, ctx Context, lib *apimodel.Library) string {
 // text", shared by the CLI and by nchecker serve so an HTTP scan's report
 // body is byte-identical to the command-line scan of the same app.
 func RenderAll(reports []Report) string {
-	var b strings.Builder
+	var b []byte
 	for i := range reports {
-		b.WriteString(reports[i].Render())
-		b.WriteByte('\n')
+		b = reports[i].appendTo(b)
+		b = append(b, '\n')
 	}
-	return b.String()
+	return string(b)
 }
 
 // Summary aggregates reports for quick printing.

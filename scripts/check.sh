@@ -75,6 +75,32 @@ if [ "$full_status" -ne "$targeted_status" ]; then
 fi
 cmp "$diffdir/full.txt" "$diffdir/targeted.txt"
 
+echo "== CLI report bytes =="
+# The CLI's report text over the full 285-app corpus, plain and with
+# -validate, must match scripts/cli_reports.sha256 byte for byte. It pins
+# everything a report prints — signature keys, call stacks, validation
+# notes — across changes to how the analyses key and render them. The
+# text names each scanned file, so the scan runs on relative paths. Only
+# an intended change of the report text may refresh the digests, with
+# sha256sum plain.txt validate.txt over the two outputs.
+digests="$(pwd)/scripts/cli_reports.sha256"
+mkdir -p "$diffdir/cli"
+go run ./cmd/appgen -out "$diffdir/cli/corpus" -n 285 >/dev/null
+(
+    cd "$diffdir/cli"
+    for mode in plain validate; do
+        flag=""
+        if [ "$mode" = validate ]; then flag="-validate"; fi
+        status=0
+        "$diffdir/nchecker" $flag corpus/*.apk >"$mode.txt" || status=$?
+        if [ "$status" -ne 1 ]; then
+            echo "CLI report bytes: nchecker $flag exited $status, want 1 (warnings)" >&2
+            exit 1
+        fi
+    done
+    sha256sum -c "$digests"
+)
+
 echo "== validate smoke =="
 # -validate must stamp verdicts (at least one dynamically confirmed
 # warning on the buggy corpus) without changing the warning set or the
