@@ -11,7 +11,7 @@
 // Scan flags:
 //
 //	-json      emit reports as a JSON array instead of text
-//	-stats     print per-app request statistics after the reports
+//	-stats     print per-app request statistics to stderr
 //	-summary   print only the per-cause summary per app
 //	-icc       enable the inter-component analysis
 //	-guard     require connectivity checks to govern a branch
@@ -26,7 +26,8 @@
 //	-workers   worker-pool size for the scan pipeline and for scanning
 //	           multiple files concurrently (0 = NumCPU)
 //	-timeout   per-file scan deadline (e.g. 30s; 0 = none)
-//	-timings   print per-stage pipeline timings and cache statistics
+//	-timings   print per-stage pipeline timings and the scan counters
+//	           to stderr
 //	-cache     persistent scan-cache directory; unchanged files rescan
 //	           from cache, changed files reuse per-class taint summaries
 //	-cache-mode off|ro|rw (default rw): how -cache is used; ro probes
@@ -52,8 +53,10 @@
 // into N×M goroutines; a single file gets the full budget inside its
 // pipeline.
 //
-// In -json mode stdout carries only the JSON documents: the per-file
-// banner, degraded-scan notices, -stats, and -timings all go to stderr.
+// Stdout carries only the reports, each file's under its `== path ==`
+// banner: degraded-scan notices, -stats, and -timings go to stderr. In
+// -json mode stdout carries only the JSON documents, and the banner goes
+// to stderr too.
 //
 // Exit codes: 0 when every file scanned clean, 1 when at least one
 // warning was found, 2 on a usage error or when any file failed to read
@@ -219,13 +222,14 @@ func scanOne(nc *core.Checker, path string, cfg scanConfig, o *outcome) {
 		fmt.Fprintf(&o.errs, "nchecker: %s: degraded scan (partial results): %v\n", path, res.Err())
 		o.failed = true
 	}
-	// In JSON mode stdout must carry only the JSON documents: the banner,
-	// -stats, and -timings are diagnostics and belong on stderr there.
-	diag := &o.out
+	// In JSON mode stdout must carry only the JSON documents, so the
+	// banner moves to stderr there; in text mode it heads the file's
+	// reports.
+	banner := &o.out
 	if cfg.jsonOut {
-		diag = &o.errs
+		banner = &o.errs
 	}
-	fmt.Fprintf(diag, "== %s: %d requests, %d warnings ==\n", path, res.Stats.Requests, len(res.Reports))
+	fmt.Fprintf(banner, "== %s: %d requests, %d warnings ==\n", path, res.Stats.Requests, len(res.Reports))
 	switch {
 	case cfg.jsonOut:
 		if err := printJSON(&o.out, res.Reports); err != nil {
@@ -237,11 +241,13 @@ func scanOne(nc *core.Checker, path string, cfg scanConfig, o *outcome) {
 	default:
 		o.out.WriteString(report.RenderAll(res.Reports))
 	}
+	// -stats and -timings are diagnostics: they never enter the report
+	// stream.
 	if cfg.stats {
-		fmt.Fprintf(diag, "stats: %+v\n", res.Stats)
+		fmt.Fprintf(&o.errs, "stats: %+v\n", res.Stats)
 	}
 	if cfg.timings {
-		diag.WriteString(res.Diagnostics.Render())
+		o.errs.WriteString(res.Diagnostics.Render())
 	}
 	if len(res.Reports) > 0 {
 		o.warnings = true

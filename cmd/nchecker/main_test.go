@@ -138,6 +138,33 @@ func TestBatchJSONStdoutIsPureJSON(t *testing.T) {
 	}
 }
 
+// TestTextStdoutUnchangedByDiagnostics: in text mode -stats and -timings
+// are diagnostics on stderr, so stdout — the banners and reports — is
+// byte-identical with and without them.
+func TestTextStdoutUnchangedByDiagnostics(t *testing.T) {
+	dir := t.TempDir()
+	a := writeFixtureApp(t, dir, "a.apk")
+	b := writeFixtureApp(t, dir, "b.apk")
+
+	var plain, plainErrs, diag, diagErrs strings.Builder
+	plainCode := runScan([]string{"-workers", "1", a, b}, &plain, &plainErrs)
+	diagCode := runScan([]string{"-workers", "1", "-timings", "-stats", a, b}, &diag, &diagErrs)
+	if plainCode != exitWarnings || diagCode != exitWarnings {
+		t.Fatalf("exit codes = %d, %d, want %d for both", plainCode, diagCode, exitWarnings)
+	}
+	if diag.String() != plain.String() {
+		t.Errorf("-timings -stats changed stdout:\n--- without ---\n%s\n--- with ---\n%s", plain.String(), diag.String())
+	}
+	if !strings.Contains(plain.String(), "== "+a+": ") {
+		t.Errorf("stdout lacks the per-file banner:\n%s", plain.String())
+	}
+	for _, want := range []string{"stats: ", "pipeline: "} {
+		if got := strings.Count(diagErrs.String(), want); got != 2 {
+			t.Errorf("stderr carries %q %d times, want once per file\nstderr:\n%s", want, got, diagErrs.String())
+		}
+	}
+}
+
 // TestDegradedNoticeExactlyOncePerFile: a degraded batch -json scan emits
 // its stderr notice exactly once per degraded file.
 func TestDegradedNoticeExactlyOncePerFile(t *testing.T) {

@@ -324,7 +324,7 @@ type analysis struct {
 	store         *cachestore.Store
 	resultKey     cachestore.Key
 	haveResultKey bool
-	sstats        storeStats
+	sstats        CacheStats // the Store* counters only
 	// hitAppMethods/hitSites carry the cached per-app diagnostics counts
 	// on a full result hit (the scan skips discovery, so a.methods and
 	// a.sites stay empty).

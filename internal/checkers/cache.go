@@ -110,23 +110,6 @@ func resultCacheKey(digest [sha256.Size]byte, reg *apimodel.Registry, opts Optio
 		digest[:], reg.Fingerprint(), []byte(EngineVersion), opts.cacheFingerprint())
 }
 
-// storeStats counts this scan's persistent-cache traffic. The cache
-// stages run at sequential points of the pipeline, so plain ints suffice.
-type storeStats struct {
-	probes, hits, misses, corrupt int
-	puts, putErrs, evicted        int
-}
-
-func (s *storeStats) fill(c *CacheStats) {
-	c.StoreProbes = s.probes
-	c.StoreHits = s.hits
-	c.StoreMisses = s.misses
-	c.StoreCorrupt = s.corrupt
-	c.StorePuts = s.puts
-	c.StorePutErrors = s.putErrs
-	c.StoreEvicted = s.evicted
-}
-
 // cacheGuard isolates the cache stages: a panic inside cache code is
 // corruption by definition — it is counted and the scan continues cold,
 // without a ScanError and without marking the Result Incomplete (cache
@@ -134,7 +117,7 @@ func (s *storeStats) fill(c *CacheStats) {
 func (a *analysis) cacheGuard(fn func()) {
 	defer func() {
 		if r := recover(); r != nil {
-			a.sstats.corrupt++
+			a.sstats.StoreCorrupt++
 		}
 	}()
 	fn()
@@ -167,19 +150,19 @@ func (a *analysis) probeCache() *Result {
 	}
 	a.resultKey = resultCacheKey(digest, a.reg, a.opts)
 	a.haveResultKey = true
-	a.sstats.probes++
+	a.sstats.StoreProbes++
 	payload, status := a.store.Get(a.resultKey)
 	switch status {
 	case cachestore.StatusMiss:
-		a.sstats.misses++
+		a.sstats.StoreMisses++
 		return nil
 	case cachestore.StatusCorrupt:
-		a.sstats.corrupt++
+		a.sstats.StoreCorrupt++
 		return nil
 	}
 	e, err := cachestore.DecodeResultEntry(payload)
 	if err != nil {
-		a.sstats.corrupt++
+		a.sstats.StoreCorrupt++
 		a.store.Remove(a.resultKey)
 		return nil
 	}
@@ -187,11 +170,11 @@ func (a *analysis) probeCache() *Result {
 	if !ok {
 		// The Stats shape changed without an EngineVersion bump; treat the
 		// stale entry as corrupt and rescan.
-		a.sstats.corrupt++
+		a.sstats.StoreCorrupt++
 		a.store.Remove(a.resultKey)
 		return nil
 	}
-	a.sstats.hits++
+	a.sstats.StoreHits++
 	a.hitAppMethods, a.hitSites = e.AppMethods, e.Sites
 	return &Result{Reports: e.Reports, Stats: stats}
 }
@@ -212,11 +195,11 @@ func (a *analysis) writeCache(res *Result) {
 	}
 	evicted, err := a.store.Put(a.resultKey, cachestore.EncodeResultEntry(e))
 	if err != nil {
-		a.sstats.putErrs++
+		a.sstats.StorePutErrors++
 		return
 	}
-	a.sstats.puts++
-	a.sstats.evicted += evicted
+	a.sstats.StorePuts++
+	a.sstats.StoreEvicted += evicted
 }
 
 // statsCounters flattens Stats to the cached counter vector. The field

@@ -55,8 +55,7 @@ type CacheStats struct {
 	// SummariesSeeded and ClassDigests are always 0. They counted the
 	// per-class summary cache, which was removed; the fields stay declared
 	// because the benchmark's per-layer trace (perfbench/trace.go) still
-	// reads them, and are neither merged, exported by CounterMap, nor
-	// rendered.
+	// reads them, and have no row in the counter table.
 	SummariesSeeded, ClassDigests int
 }
 
@@ -68,64 +67,29 @@ func (c CacheStats) ReachDefsHits() int { return c.ReachDefsRequests - c.ReachDe
 
 // TargetedStats counts the work the targeted engine mode demanded vs.
 // skipped. All zero in full mode (and on cache-hit scans, which do no
-// closure work).
+// closure work). ClassesDecoded and ClassesSkipped split the app's
+// body-bearing classes into materialized and never decoded (lazy scan
+// path), or analyzed and excluded (in-memory path).
 type TargetedStats struct {
-	// SeedMethods counts the closure's roots: methods with a target-API
-	// call plus registered callback implementations.
-	SeedMethods int
-	// ClosureMethods / ClosureClasses size the converged relevant-method
-	// and demanded-class sets.
+	SeedMethods    int
 	ClosureMethods int
 	ClosureClasses int
-	// ClassesDecoded / ClassesSkipped split the app's body-bearing classes
-	// into materialized and never-decoded (lazy scan path) or analyzed and
-	// excluded (in-memory path).
 	ClassesDecoded int
 	ClassesSkipped int
 }
 
-func (t *TargetedStats) add(o TargetedStats) {
-	t.SeedMethods += o.SeedMethods
-	t.ClosureMethods += o.ClosureMethods
-	t.ClosureClasses += o.ClosureClasses
-	t.ClassesDecoded += o.ClassesDecoded
-	t.ClassesSkipped += o.ClassesSkipped
-}
-
-// counterMap flattens TargetedStats for metric export (the
-// nchecker_targeted_* family of nchecker serve's /metrics).
-func (t TargetedStats) counterMap() map[string]int64 {
-	return map[string]int64{
-		"seed_methods":    int64(t.SeedMethods),
-		"closure_methods": int64(t.ClosureMethods),
-		"closure_classes": int64(t.ClosureClasses),
-		"classes_decoded": int64(t.ClassesDecoded),
-		"classes_skipped": int64(t.ClassesSkipped),
-	}
-}
-
 // ValidateStats counts the dynamic-validation stage's work and verdicts.
 // All zero when Options.Validate is off (and on cache-hit scans, which
-// restore verdicts without replaying).
+// restore verdicts without replaying). Confirmed, Unconfirmed and
+// NotValidated partition the scan's warnings; Replays counts entry ×
+// scenario executions, shared across warnings with the same witness
+// entry.
 type ValidateStats struct {
-	// Confirmed / Unconfirmed / NotValidated partition the scan's warnings
-	// by verdict; their sum is the number of warnings examined.
 	Confirmed    int
 	Unconfirmed  int
 	NotValidated int
-	// Replays counts entry × scenario machine executions (shared across
-	// warnings with the same witness entry).
-	Replays int
-	// BudgetHits counts replays truncated by the interpreter step budget.
-	BudgetHits int
-}
-
-func (v *ValidateStats) add(o ValidateStats) {
-	v.Confirmed += o.Confirmed
-	v.Unconfirmed += o.Unconfirmed
-	v.NotValidated += o.NotValidated
-	v.Replays += o.Replays
-	v.BudgetHits += o.BudgetHits
+	Replays      int
+	BudgetHits   int
 }
 
 // count tallies one warning's verdict (a report.Validation* value).
@@ -140,16 +104,61 @@ func (v *ValidateStats) count(verdict string) {
 	}
 }
 
-// counterMap flattens ValidateStats for metric export (the
-// nchecker_validate_* family of nchecker serve's /metrics).
-func (v ValidateStats) counterMap() map[string]int64 {
-	return map[string]int64{
-		"confirmed":     int64(v.Confirmed),
-		"unconfirmed":   int64(v.Unconfirmed),
-		"not_validated": int64(v.NotValidated),
-		"replays":       int64(v.Replays),
-		"budget_hits":   int64(v.BudgetHits),
-	}
+// Counter is one row of the scan counter table: the single declaration
+// of a counter's name, help text and home in Diagnostics. Merge, the
+// counter lines of Render, MetricsSnapshot and the /metrics exposition
+// of internal/server all iterate Counters.
+type Counter struct {
+	// Layer groups the counter: "cache", "targeted" or "validate". It
+	// names the counter's -timings line and prefixes its metric,
+	// nchecker_<layer>_<name>_total.
+	Layer string
+	Name  string // snake_case, unique across the table
+	Help  string
+	field func(*Diagnostics) *int
+}
+
+// Counters is the counter table, grouped by layer.
+var Counters = []Counter{
+	{"cache", "methods", "Distinct methods with at least one cached analysis artifact.", func(d *Diagnostics) *int { return &d.Cache.Methods }},
+	{"cache", "cfg_computed", "Per-method CFGs built.", func(d *Diagnostics) *int { return &d.Cache.CFGComputed }},
+	{"cache", "cfg_requests", "Per-method CFG requests.", func(d *Diagnostics) *int { return &d.Cache.CFGRequests }},
+	{"cache", "reachdefs_computed", "Reaching-definitions solutions built.", func(d *Diagnostics) *int { return &d.Cache.ReachDefsComputed }},
+	{"cache", "reachdefs_requests", "Reaching-definitions requests.", func(d *Diagnostics) *int { return &d.Cache.ReachDefsRequests }},
+	{"cache", "constprop_computed", "Constant-propagation solutions built.", func(d *Diagnostics) *int { return &d.Cache.ConstPropComputed }},
+	{"cache", "constprop_requests", "Constant-propagation requests.", func(d *Diagnostics) *int { return &d.Cache.ConstPropRequests }},
+	{"cache", "dominators_computed", "Dominator trees built.", func(d *Diagnostics) *int { return &d.Cache.DominatorsComputed }},
+	{"cache", "dominators_requests", "Dominator-tree requests.", func(d *Diagnostics) *int { return &d.Cache.DominatorsRequests }},
+	{"cache", "loops_computed", "Natural-loop sets built.", func(d *Diagnostics) *int { return &d.Cache.LoopsComputed }},
+	{"cache", "loops_requests", "Natural-loop requests.", func(d *Diagnostics) *int { return &d.Cache.LoopsRequests }},
+	{"cache", "slicers_computed", "Backward slicers built.", func(d *Diagnostics) *int { return &d.Cache.SlicersComputed }},
+	{"cache", "slicer_requests", "Backward-slicer requests.", func(d *Diagnostics) *int { return &d.Cache.SlicerRequests }},
+	{"cache", "summaries_computed", "Methods given an interprocedural taint summary.", func(d *Diagnostics) *int { return &d.Cache.SummariesComputed }},
+	{"cache", "summary_requests", "Taint-summary consults.", func(d *Diagnostics) *int { return &d.Cache.SummaryRequests }},
+	{"cache", "summary_sccs", "Call-graph SCCs the summaries were built over.", func(d *Diagnostics) *int { return &d.Cache.SummarySCCs }},
+	{"cache", "summary_fixpoint_iters", "Extra summary passes spent on recursive cycles.", func(d *Diagnostics) *int { return &d.Cache.SummaryFixpointIters }},
+	{"cache", "feasible_cfg_computed", "Feasibility-pruned CFGs built.", func(d *Diagnostics) *int { return &d.Cache.FeasibleCFGComputed }},
+	{"cache", "feasible_cfg_requests", "Feasibility-pruned CFG requests.", func(d *Diagnostics) *int { return &d.Cache.FeasibleCFGRequests }},
+	{"cache", "pruned_edges", "Statically dead CFG edges pruned.", func(d *Diagnostics) *int { return &d.Cache.PrunedEdges }},
+	{"cache", "store_probes", "Persistent-cache result-entry probes.", func(d *Diagnostics) *int { return &d.Cache.StoreProbes }},
+	{"cache", "store_hits", "Persistent-cache probes answered from the store.", func(d *Diagnostics) *int { return &d.Cache.StoreHits }},
+	{"cache", "store_misses", "Persistent-cache probes that missed.", func(d *Diagnostics) *int { return &d.Cache.StoreMisses }},
+	{"cache", "store_corrupt", "Corrupt persistent-cache entries and in-cache panics.", func(d *Diagnostics) *int { return &d.Cache.StoreCorrupt }},
+	{"cache", "store_puts", "Persistent-cache entries written.", func(d *Diagnostics) *int { return &d.Cache.StorePuts }},
+	{"cache", "store_put_errors", "Persistent-cache writes that failed.", func(d *Diagnostics) *int { return &d.Cache.StorePutErrors }},
+	{"cache", "store_evicted", "Persistent-cache files eviction unlinked.", func(d *Diagnostics) *int { return &d.Cache.StoreEvicted }},
+
+	{"targeted", "seed_methods", "Closure roots: methods with a target-API call plus registered callbacks.", func(d *Diagnostics) *int { return &d.Targeted.SeedMethods }},
+	{"targeted", "closure_methods", "Methods in the converged relevant-method closure.", func(d *Diagnostics) *int { return &d.Targeted.ClosureMethods }},
+	{"targeted", "closure_classes", "Classes in the demanded-class closure.", func(d *Diagnostics) *int { return &d.Targeted.ClosureClasses }},
+	{"targeted", "classes_decoded", "Body-bearing app classes decoded or analyzed.", func(d *Diagnostics) *int { return &d.Targeted.ClassesDecoded }},
+	{"targeted", "classes_skipped", "Body-bearing app classes never decoded or excluded.", func(d *Diagnostics) *int { return &d.Targeted.ClassesSkipped }},
+
+	{"validate", "confirmed", "Warnings a replay confirmed.", func(d *Diagnostics) *int { return &d.Validate.Confirmed }},
+	{"validate", "unconfirmed", "Warnings no replay confirmed.", func(d *Diagnostics) *int { return &d.Validate.Unconfirmed }},
+	{"validate", "not_validated", "Warnings left without a verdict.", func(d *Diagnostics) *int { return &d.Validate.NotValidated }},
+	{"validate", "replays", "Entry-by-scenario replays executed.", func(d *Diagnostics) *int { return &d.Validate.Replays }},
+	{"validate", "budget_hits", "Replays truncated by the interpreter step budget.", func(d *Diagnostics) *int { return &d.Validate.BudgetHits }},
 }
 
 // Diagnostics is the per-scan observability record: where the time went,
@@ -187,14 +196,13 @@ func (d *Diagnostics) add(name string, dur time.Duration, items, reports int) {
 	d.Stages = append(d.Stages, StageTiming{Name: name, Duration: dur, Items: items, Reports: reports})
 }
 
-// merge accumulates another scan's diagnostics into d (stage-wise and
-// cache-wise), for corpus-level aggregation. Workers is kept from d.
+// Merge accumulates another scan's diagnostics into d (stage-wise and
+// counter-wise), for corpus-level aggregation. Workers and Mode are kept
+// from d.
 func (d *Diagnostics) Merge(o Diagnostics) {
 	d.Total += o.Total
 	d.AppMethods += o.AppMethods
 	d.Sites += o.Sites
-	d.Targeted.add(o.Targeted)
-	d.Validate.add(o.Validate)
 	for _, s := range o.Stages {
 		if have := d.Stage(s.Name); have != nil {
 			have.Duration += s.Duration
@@ -204,71 +212,14 @@ func (d *Diagnostics) Merge(o Diagnostics) {
 			d.Stages = append(d.Stages, s)
 		}
 	}
-	d.Cache.Methods += o.Cache.Methods
-	d.Cache.CFGComputed += o.Cache.CFGComputed
-	d.Cache.CFGRequests += o.Cache.CFGRequests
-	d.Cache.ReachDefsComputed += o.Cache.ReachDefsComputed
-	d.Cache.ReachDefsRequests += o.Cache.ReachDefsRequests
-	d.Cache.ConstPropComputed += o.Cache.ConstPropComputed
-	d.Cache.ConstPropRequests += o.Cache.ConstPropRequests
-	d.Cache.DominatorsComputed += o.Cache.DominatorsComputed
-	d.Cache.DominatorsRequests += o.Cache.DominatorsRequests
-	d.Cache.LoopsComputed += o.Cache.LoopsComputed
-	d.Cache.LoopsRequests += o.Cache.LoopsRequests
-	d.Cache.SlicersComputed += o.Cache.SlicersComputed
-	d.Cache.SlicerRequests += o.Cache.SlicerRequests
-	d.Cache.SummariesComputed += o.Cache.SummariesComputed
-	d.Cache.SummaryRequests += o.Cache.SummaryRequests
-	d.Cache.SummarySCCs += o.Cache.SummarySCCs
-	d.Cache.SummaryFixpointIters += o.Cache.SummaryFixpointIters
-	d.Cache.FeasibleCFGComputed += o.Cache.FeasibleCFGComputed
-	d.Cache.FeasibleCFGRequests += o.Cache.FeasibleCFGRequests
-	d.Cache.PrunedEdges += o.Cache.PrunedEdges
-	d.Cache.StoreProbes += o.Cache.StoreProbes
-	d.Cache.StoreHits += o.Cache.StoreHits
-	d.Cache.StoreMisses += o.Cache.StoreMisses
-	d.Cache.StoreCorrupt += o.Cache.StoreCorrupt
-	d.Cache.StorePuts += o.Cache.StorePuts
-	d.Cache.StorePutErrors += o.Cache.StorePutErrors
-	d.Cache.StoreEvicted += o.Cache.StoreEvicted
+	d.addCounters(&o)
 	d.Errors = append(d.Errors, o.Errors...)
 }
 
-// CounterMap flattens every CacheStats counter into a stable snake_case
-// name → value map, the shape metric exporters (nchecker serve's /metrics)
-// consume. TestCacheStatsCounterMapComplete pins the contract: every
-// live CacheStats field appears here (the always-zero SummariesSeeded and
-// ClassDigests do not), so a new counter cannot be added without also
-// being exported.
-func (c CacheStats) CounterMap() map[string]int64 {
-	return map[string]int64{
-		"methods":                int64(c.Methods),
-		"cfg_computed":           int64(c.CFGComputed),
-		"cfg_requests":           int64(c.CFGRequests),
-		"reachdefs_computed":     int64(c.ReachDefsComputed),
-		"reachdefs_requests":     int64(c.ReachDefsRequests),
-		"constprop_computed":     int64(c.ConstPropComputed),
-		"constprop_requests":     int64(c.ConstPropRequests),
-		"dominators_computed":    int64(c.DominatorsComputed),
-		"dominators_requests":    int64(c.DominatorsRequests),
-		"loops_computed":         int64(c.LoopsComputed),
-		"loops_requests":         int64(c.LoopsRequests),
-		"slicers_computed":       int64(c.SlicersComputed),
-		"slicer_requests":        int64(c.SlicerRequests),
-		"summaries_computed":     int64(c.SummariesComputed),
-		"summary_requests":       int64(c.SummaryRequests),
-		"summary_sccs":           int64(c.SummarySCCs),
-		"summary_fixpoint_iters": int64(c.SummaryFixpointIters),
-		"feasible_cfg_computed":  int64(c.FeasibleCFGComputed),
-		"feasible_cfg_requests":  int64(c.FeasibleCFGRequests),
-		"pruned_edges":           int64(c.PrunedEdges),
-		"store_probes":           int64(c.StoreProbes),
-		"store_hits":             int64(c.StoreHits),
-		"store_misses":           int64(c.StoreMisses),
-		"store_corrupt":          int64(c.StoreCorrupt),
-		"store_puts":             int64(c.StorePuts),
-		"store_put_errors":       int64(c.StorePutErrors),
-		"store_evicted":          int64(c.StoreEvicted),
+// addCounters adds every table counter of o into d.
+func (d *Diagnostics) addCounters(o *Diagnostics) {
+	for _, c := range Counters {
+		*c.field(d) += *c.field(o)
 	}
 }
 
@@ -290,9 +241,7 @@ type MetricsSnapshot struct {
 	Reports      int64 // warnings across all stages
 	ScanErrors   int64 // recorded survivable failures (non-zero ⇒ degraded)
 	Stages       []StageMetric
-	Counters     map[string]int64 // CacheStats.CounterMap
-	Targeted     map[string]int64 // TargetedStats, flattened
-	Validate     map[string]int64 // ValidateStats, flattened
+	Counters     map[string]int64 // every table counter, by Counter.Name
 }
 
 // MetricsSnapshot flattens the diagnostics for metric export.
@@ -302,9 +251,10 @@ func (d *Diagnostics) MetricsSnapshot() MetricsSnapshot {
 		AppMethods:   int64(d.AppMethods),
 		Sites:        int64(d.Sites),
 		ScanErrors:   int64(len(d.Errors)),
-		Counters:     d.Cache.CounterMap(),
-		Targeted:     d.Targeted.counterMap(),
-		Validate:     d.Validate.counterMap(),
+		Counters:     make(map[string]int64, len(Counters)),
+	}
+	for _, c := range Counters {
+		snap.Counters[c.Name] = int64(*c.field(d))
 	}
 	for _, s := range d.Stages {
 		snap.Reports += int64(s.Reports)
@@ -323,15 +273,6 @@ func (d Diagnostics) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "pipeline: %v total, %d workers, %d app methods, %d request sites\n",
 		d.Total.Round(time.Microsecond), d.Workers, d.AppMethods, d.Sites)
-	if d.Mode == ModeTargeted {
-		t := d.Targeted
-		fmt.Fprintf(&b, "  targeted: %d seeds -> %d methods over %d classes; classes decoded %d, skipped %d\n",
-			t.SeedMethods, t.ClosureMethods, t.ClosureClasses, t.ClassesDecoded, t.ClassesSkipped)
-	}
-	if v := d.Validate; v != (ValidateStats{}) {
-		fmt.Fprintf(&b, "  validate: %d confirmed, %d unconfirmed, %d not-validated; %d replays (%d budget-truncated)\n",
-			v.Confirmed, v.Unconfirmed, v.NotValidated, v.Replays, v.BudgetHits)
-	}
 	for _, s := range d.Stages {
 		fmt.Fprintf(&b, "  stage %-14s %12v  items=%-5d reports=%d\n",
 			s.Name, s.Duration.Round(time.Microsecond), s.Items, s.Reports)
@@ -355,18 +296,18 @@ func (d Diagnostics) Render() string {
 	if famLine != "" {
 		fmt.Fprintf(&b, "  checker families:%s\n", famLine)
 	}
-	c := d.Cache
-	fmt.Fprintf(&b, "  cache (computed/requests over %d methods): cfg %d/%d  reachdefs %d/%d  constprop %d/%d  dominators %d/%d  loops %d/%d  slicer %d/%d\n",
-		c.Methods, c.CFGComputed, c.CFGRequests, c.ReachDefsComputed, c.ReachDefsRequests,
-		c.ConstPropComputed, c.ConstPropRequests, c.DominatorsComputed, c.DominatorsRequests,
-		c.LoopsComputed, c.LoopsRequests, c.SlicersComputed, c.SlicerRequests)
-	fmt.Fprintf(&b, "  summaries: %d methods over %d SCCs (%d fixpoint iters), %d consults; feasibility: %d/%d pruned CFGs, %d dead edges\n",
-		c.SummariesComputed, c.SummarySCCs, c.SummaryFixpointIters, c.SummaryRequests,
-		c.FeasibleCFGComputed, c.FeasibleCFGRequests, c.PrunedEdges)
-	if c.StoreProbes > 0 || c.StorePuts > 0 || c.StorePutErrors > 0 {
-		fmt.Fprintf(&b, "  store: %d probes (%d hits, %d misses, %d corrupt); %d puts (%d errors), %d evicted\n",
-			c.StoreProbes, c.StoreHits, c.StoreMisses, c.StoreCorrupt,
-			c.StorePuts, c.StorePutErrors, c.StoreEvicted)
+	// One line per counter layer, printed when any of its counters is
+	// non-zero.
+	for i := 0; i < len(Counters); {
+		layer, line, nonzero := Counters[i].Layer, "", false
+		for ; i < len(Counters) && Counters[i].Layer == layer; i++ {
+			v := *Counters[i].field(&d)
+			nonzero = nonzero || v != 0
+			line += fmt.Sprintf(" %s=%d", Counters[i].Name, v)
+		}
+		if nonzero {
+			fmt.Fprintf(&b, "  %s:%s\n", layer, line)
+		}
 	}
 	for i := range d.Errors {
 		fmt.Fprintf(&b, "  error: %v\n", &d.Errors[i])

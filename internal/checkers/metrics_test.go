@@ -2,47 +2,97 @@ package checkers
 
 import (
 	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 	"time"
 )
 
-// TestCacheStatsCounterMapComplete pins the exporter contract with
-// reflection: every live CacheStats field must appear in CounterMap, and
-// with a value distinguishable from every other field's. Adding a counter
-// to CacheStats without exporting it fails here. The retired, always-zero
-// fields must not be exported.
-func TestCacheStatsCounterMapComplete(t *testing.T) {
-	retired := map[string]bool{"SummariesSeeded": true, "ClassDigests": true}
-	var c CacheStats
-	v := reflect.ValueOf(&c).Elem()
-	typ := v.Type()
-	// Give every field a distinct value so a map entry wired to the wrong
-	// field is caught, not just a missing one.
-	live := make(map[int64]bool)
-	for i := 0; i < typ.NumField(); i++ {
-		if typ.Field(i).Type.Kind() != reflect.Int {
-			t.Fatalf("CacheStats.%s is %s, not int; extend CounterMap and this test",
-				typ.Field(i).Name, typ.Field(i).Type)
+// TestCounterTableComplete pins the counter table to the structs it
+// reads, by reflection: every live int field of CacheStats, TargetedStats
+// and ValidateStats has exactly one row, under its struct's layer (the
+// retired SummariesSeeded and ClassDigests have none); each layer's rows
+// are contiguous; names are unique snake_case; and Merge of two
+// Diagnostics sums every counter field. A counter added to a struct
+// without a row fails here instead of silently missing from Merge,
+// -timings and /metrics.
+func TestCounterTableComplete(t *testing.T) {
+	retired := map[string]bool{"Cache.SummariesSeeded": true, "Cache.ClassDigests": true}
+	groups := []string{"Cache", "Targeted", "Validate"}
+
+	// fill gives every counter field of d a distinct value base+k and
+	// returns the fields in order.
+	fill := func(d *Diagnostics, base int) []string {
+		var fields []string
+		for _, g := range groups {
+			gv := reflect.ValueOf(d).Elem().FieldByName(g)
+			for i := 0; i < gv.NumField(); i++ {
+				f := gv.Type().Field(i)
+				if f.Type.Kind() != reflect.Int {
+					t.Fatalf("%s.%s is %s, not int; extend the counter table and this test", g, f.Name, f.Type)
+				}
+				gv.Field(i).SetInt(int64(base + len(fields)))
+				fields = append(fields, g+"."+f.Name)
+			}
 		}
-		v.Field(i).SetInt(int64(100 + i))
-		if !retired[typ.Field(i).Name] {
-			live[int64(100+i)] = true
+		return fields
+	}
+	var a, b Diagnostics
+	fields := fill(&a, 1)
+	fill(&b, 1000)
+
+	rowOf := map[string]string{} // field → row name
+	names := map[string]bool{}
+	layerDone := map[string]bool{} // layers whose run of rows has ended
+	snakeCase := regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
+	for i, c := range Counters {
+		if i > 0 && Counters[i-1].Layer != c.Layer {
+			layerDone[Counters[i-1].Layer] = true
+		}
+		if layerDone[c.Layer] {
+			t.Errorf("counter %q: the rows of layer %q are not contiguous (Render prints one line per run)", c.Name, c.Layer)
+		}
+		if names[c.Name] {
+			t.Errorf("counter name %q appears twice", c.Name)
+		}
+		names[c.Name] = true
+		if !snakeCase.MatchString(c.Name) || c.Help == "" {
+			t.Errorf("counter %q: want a snake_case name and a help string", c.Name)
+		}
+		v := *c.field(&a)
+		if v < 1 || v > len(fields) {
+			t.Errorf("counter %q reads no counter field", c.Name)
+			continue
+		}
+		field := fields[v-1]
+		if layer, _, _ := strings.Cut(field, "."); strings.ToLower(layer) != c.Layer {
+			t.Errorf("counter %q reads %s but sits in layer %q", c.Name, field, c.Layer)
+		}
+		if prev, dup := rowOf[field]; dup {
+			t.Errorf("counters %q and %q both read %s", prev, c.Name, field)
+		}
+		rowOf[field] = c.Name
+	}
+	for _, field := range fields {
+		if _, has := rowOf[field]; has == retired[field] {
+			t.Errorf("%s: has a row = %v, want %v", field, has, !retired[field])
 		}
 	}
-	m := c.CounterMap()
-	if len(m) != len(live) {
-		t.Fatalf("CounterMap has %d entries, CacheStats has %d live fields: a counter is missing from the export",
-			len(m), len(live))
-	}
-	seen := make(map[int64]string, len(m))
-	for name, val := range m {
-		if !live[val] {
-			t.Errorf("CounterMap[%q] = %d: not wired to any live CacheStats field", name, val)
+
+	var sum Diagnostics
+	sum.Merge(a)
+	sum.Merge(b)
+	for _, field := range fields {
+		if retired[field] {
+			continue
 		}
-		if prev, dup := seen[val]; dup {
-			t.Errorf("CounterMap[%q] and CounterMap[%q] read the same field", name, prev)
+		get := func(d *Diagnostics) int64 {
+			g, f, _ := strings.Cut(field, ".")
+			return reflect.ValueOf(d).Elem().FieldByName(g).FieldByName(f).Int()
 		}
-		seen[val] = name
+		if got, want := get(&sum), get(&a)+get(&b); got != want {
+			t.Errorf("Merge: %s = %d, want %d", field, got, want)
+		}
 	}
 }
 

@@ -80,7 +80,7 @@ func AnalyzeContext(ctx context.Context, app *apk.App, reg *apimodel.Registry, o
 		if a.ctx != nil {
 			diag.Cache = a.ctx.cacheStats()
 		}
-		a.sstats.fill(&diag.Cache)
+		diag.addCounters(&Diagnostics{Cache: a.sstats})
 		diag.Total = time.Since(start)
 		res.Diagnostics = diag
 		return res
@@ -246,7 +246,7 @@ func AnalyzeContext(ctx context.Context, app *apk.App, reg *apimodel.Registry, o
 	if a.store != nil && opts.CacheMode == CacheRW && len(a.errs) == 0 {
 		writeStart := time.Now()
 		a.cacheGuard(func() { a.writeCache(res) })
-		diag.add("cachewrite", time.Since(writeStart), a.sstats.puts, 0)
+		diag.add("cachewrite", time.Since(writeStart), a.sstats.StorePuts, 0)
 	}
 
 	diag.AppMethods = len(a.methods)

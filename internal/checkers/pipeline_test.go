@@ -187,7 +187,7 @@ func TestDiagnosticsStageOrder(t *testing.T) {
 			t.Errorf("stage %d: got %q, want %q", i, s.Name, want[i])
 		}
 	}
-	if r := res.Diagnostics.Render(); !strings.Contains(r, "cache (computed/requests") {
+	if r := res.Diagnostics.Render(); !strings.Contains(r, "\n  cache: methods=") {
 		t.Errorf("Render missing cache line:\n%s", r)
 	}
 }

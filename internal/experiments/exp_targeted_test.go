@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/apk"
@@ -101,5 +102,17 @@ func TestTargetedDeterministicAcrossCorpusWorkers(t *testing.T) {
 				t.Errorf("w=%d: app %s reports differ from single-worker run", workers, base.Apps[i].Name)
 			}
 		}
+	}
+}
+
+// TestTargetedCorpusTimingsShowTargetedCounters: the -timings text of a
+// targeted corpus scan carries the targeted counter line. The corpus
+// aggregate leaves Diagnostics.Mode unset, so a line gated on the mode
+// instead of on the counters never printed for `experiments -timings`.
+func TestTargetedCorpusTimingsShowTargetedCounters(t *testing.T) {
+	cs := ScanApps(mustGoldens(t), core.Options{Mode: core.ModeTargeted})
+	r := cs.Diagnostics().Render()
+	if !strings.Contains(r, "\n  targeted: ") || !strings.Contains(r, " closure_methods=") {
+		t.Errorf("targeted corpus -timings lacks the targeted counter line:\n%s", r)
 	}
 }

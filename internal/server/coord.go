@@ -7,7 +7,7 @@
 //	POST /scan ──► shard by sha256(body) ──► per-worker queue ──► POST {worker}/scansync
 //	                   (rendezvous hash)      │ work stealing          │ hedged + retried
 //	GET /scan/{id} ◄── coordinator job store ◄┘                        │
-//	GET /metrics  ◄── own fleet counters + Sum of worker /metrics      │
+//	GET /metrics  ◄── own fleet counters + sum of worker metric states │
 //	/cache/{entry} ◄─► replication hub: any worker's cache hit ────────┘
 //	                   serves the whole fleet
 //
@@ -53,7 +53,6 @@ import (
 
 	"repro/internal/cachestore"
 	"repro/internal/core"
-	"repro/internal/promtext"
 )
 
 // CoordConfig tunes a Coordinator.
@@ -842,9 +841,13 @@ func (c *Coordinator) handleCachePut(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
+// maxMetricsStateBytes bounds a worker's GET /metrics/state answer; a
+// longer one fails to decode and counts as a scrape error.
+const maxMetricsStateBytes = 1 << 20
+
 // handleMetrics serves the coordinator's own fleet counters followed by
-// the sum of every live worker's /metrics — one scrape sees the fleet as
-// a single process.
+// the sum of every live worker's metrics state, rendered as a worker
+// renders its own — one scrape sees the fleet as a single process.
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	var urls []string
@@ -856,35 +859,45 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	pending, live := c.pending, len(urls)
 	c.mu.Unlock()
 
-	texts := make([]*promtext.Text, len(urls))
+	states := make([]*metricsState, len(urls))
 	var wg sync.WaitGroup
 	for i, u := range urls {
 		wg.Add(1)
 		go func(i int, u string) {
 			defer wg.Done()
-			resp, err := c.probe.Get(u + "/metrics")
+			resp, err := c.probe.Get(u + "/metrics/state")
 			if err != nil {
 				c.cm.scrapeError()
 				return
 			}
-			body, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil || resp.StatusCode != http.StatusOK {
+			defer resp.Body.Close()
+			var st metricsState
+			if resp.StatusCode != http.StatusOK ||
+				json.NewDecoder(io.LimitReader(resp.Body, maxMetricsStateBytes)).Decode(&st) != nil {
 				c.cm.scrapeError()
 				return
 			}
-			t, err := promtext.Parse(string(body))
-			if err != nil {
-				c.cm.scrapeError()
-				return
-			}
-			texts[i] = t
+			states[i] = &st
 		}(i, u)
 	}
 	wg.Wait()
 
+	sum, merged := newMetricsState(), 0
+	for _, st := range states {
+		if st == nil {
+			continue
+		}
+		if err := sum.merge(st); err != nil {
+			c.cm.scrapeError()
+			continue
+		}
+		merged++
+	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	io.WriteString(w, c.cm.render(pending, c.cfg.Queue, live, texts))
+	io.WriteString(w, c.cm.render(pending, c.cfg.Queue, live))
+	if merged > 0 {
+		io.WriteString(w, sum.render())
+	}
 }
 
 // retainLocked mirrors the worker-side retention FIFO. Caller holds c.mu.

@@ -4,15 +4,13 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-
-	"repro/internal/promtext"
 )
 
 // coordMetrics is the coordinator's own observability state: fleet
 // lifecycle and dispatch counters under nchecker_fleet_*, kept apart from
 // the per-scan nchecker_* series the workers own. GET /metrics renders
-// these followed by the promtext.Sum of every live worker's scrape, so
-// one Prometheus target sees the whole fleet.
+// these followed by the sum of every live worker's metrics state, so one
+// Prometheus target sees the whole fleet.
 type coordMetrics struct {
 	mu sync.Mutex
 
@@ -68,10 +66,9 @@ func (m *coordMetrics) jobDone(degraded bool) {
 	m.mu.Unlock()
 }
 
-// render emits the coordinator's Prometheus text: fleet counters and
-// gauges first, then the aggregated worker scrape (nil entries are
-// workers whose scrape failed this cycle — counted in scrape_errors).
-func (m *coordMetrics) render(pending, queueCap, liveWorkers int, workers []*promtext.Text) string {
+// render emits the coordinator's own Prometheus text: the fleet counters
+// and gauges.
+func (m *coordMetrics) render(pending, queueCap, liveWorkers int) string {
 	m.mu.Lock()
 	var b strings.Builder
 	counter := func(name, help string, pairs ...[2]interface{}) {
@@ -111,7 +108,7 @@ func (m *coordMetrics) render(pending, queueCap, liveWorkers int, workers []*pro
 	counter("nchecker_fleet_cache_puts_total", "Cache hub pushes by outcome.",
 		[2]interface{}{`outcome="accepted"`, m.cachePuts},
 		[2]interface{}{`outcome="rejected"`, m.cachePutRejects})
-	counter("nchecker_fleet_scrape_errors_total", "Worker /metrics scrapes that failed.",
+	counter("nchecker_fleet_scrape_errors_total", "Worker metrics-state fetches that failed or did not decode.",
 		[2]interface{}{"", m.scrapeErrors})
 	m.mu.Unlock()
 
@@ -122,14 +119,5 @@ func (m *coordMetrics) render(pending, queueCap, liveWorkers int, workers []*pro
 	gauge("nchecker_fleet_pending", "Dispatches queued fleet-wide.", pending)
 	gauge("nchecker_fleet_queue_capacity", "Fleet admission queue bound.", queueCap)
 
-	alive := workers[:0:0]
-	for _, t := range workers {
-		if t != nil {
-			alive = append(alive, t)
-		}
-	}
-	if len(alive) > 0 {
-		b.WriteString(promtext.Sum(alive...).Render())
-	}
 	return b.String()
 }

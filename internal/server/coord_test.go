@@ -14,9 +14,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/apk"
 	"repro/internal/cachestore"
 	"repro/internal/core"
-	"repro/internal/promtext"
+	"repro/internal/corpus"
 	"repro/internal/report"
 )
 
@@ -62,8 +63,8 @@ func fakeWorker(t *testing.T, delay time.Duration, reportText string) *httptest.
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, "ok\n")
 	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, "# HELP nchecker_jobs_submitted_total Scan jobs accepted.\n# TYPE nchecker_jobs_submitted_total counter\nnchecker_jobs_submitted_total 0\n")
+	mux.HandleFunc("GET /metrics/state", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(newMetricsState())
 	})
 	mux.HandleFunc("POST /scansync", func(w http.ResponseWriter, r *http.Request) {
 		select {
@@ -398,8 +399,8 @@ func TestCacheHubEndpointsValidate(t *testing.T) {
 	}
 }
 
-// TestCoordinatorMetricsAggregation: GET /metrics on the coordinator
-// parses as valid Prometheus text and contains both the fleet counters
+// TestCoordinatorMetricsAggregation: GET /metrics on the coordinator is
+// well-formed Prometheus text and contains both the fleet counters
 // and worker series summed across the fleet.
 func TestCoordinatorMetricsAggregation(t *testing.T) {
 	app := fixtureAppBytes(t)
@@ -419,14 +420,7 @@ func TestCoordinatorMetricsAggregation(t *testing.T) {
 	wg.Wait()
 
 	_, metricsText := getBody(t, ts.URL+"/metrics")
-	parsed, err := promtext.Parse(metricsText)
-	if err != nil {
-		t.Fatalf("coordinator /metrics is not valid Prometheus text: %v", err)
-	}
-	bySeries := map[string]float64{}
-	for _, s := range parsed.Samples {
-		bySeries[s.Series()] = s.Value
-	}
+	bySeries := parseExposition(t, metricsText)
 	if bySeries["nchecker_fleet_jobs_submitted_total"] != n {
 		t.Errorf("fleet submitted = %v, want %d", bySeries["nchecker_fleet_jobs_submitted_total"], n)
 	}
@@ -531,5 +525,99 @@ func TestWorkStealingDrainsImbalancedQueues(t *testing.T) {
 	_, metricsText := getBody(t, ts.URL+"/metrics")
 	if strings.Contains(metricsText, "nchecker_fleet_steals_total 0\n") {
 		t.Errorf("no dispatches stolen:\n%s", grepLines(metricsText, "steals"))
+	}
+}
+
+// TestCoordinatorMetricsSumWorkerMetrics is the fleet-aggregation
+// differential: once every job has finished, each worker-owned series on
+// the coordinator's /metrics equals the sum of that series over the two
+// workers' own /metrics, and the coordinator exposes exactly the series
+// in testdata/coord_metrics_series.golden. The jobs cover every counter
+// family a worker exports: full, targeted, validated, degraded and
+// failed scans.
+func TestCoordinatorMetricsSumWorkerMetrics(t *testing.T) {
+	goldens, err := corpus.BuildGoldens()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, ts := newTestCoordinator(t, CoordConfig{})
+	_, w1 := newFleetWorkerServer(t, c, Config{})
+	_, w2 := newFleetWorkerServer(t, c, Config{})
+
+	var ids []string
+	for i, app := range goldens {
+		data, err := apk.Encode(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, submit(t, ts, data, fmt.Sprintf("?name=golden%d", i)))
+	}
+	fixture := fixtureAppBytes(t)
+	for _, query := range []string{"?mode=targeted", "?validate=1", "?timeout=1ns"} {
+		ids = append(ids, submit(t, ts, fixture, query))
+	}
+	ids = append(ids, submit(t, ts, []byte("not an apk"), ""))
+	for _, id := range ids {
+		await(t, ts, id)
+	}
+
+	want := map[string]float64{}
+	for _, w := range []*httptest.Server{w1, w2} {
+		_, body := getBody(t, w.URL+"/metrics")
+		for id, v := range parseExposition(t, body) {
+			want[id] += v
+		}
+	}
+	_, body := getBody(t, ts.URL+"/metrics")
+	got := parseExposition(t, body)
+	for id, v := range got {
+		if strings.HasPrefix(id, "nchecker_fleet_") {
+			continue
+		}
+		if wv, ok := want[id]; !ok || wv != v {
+			t.Errorf("coordinator %s = %v, want the workers' sum %v (present on a worker: %v)", id, v, wv, ok)
+		}
+	}
+	for id := range want {
+		if _, ok := got[id]; !ok {
+			t.Errorf("coordinator /metrics lacks worker series %s", id)
+		}
+	}
+	checkGolden(t, "coord_metrics_series.golden", seriesSet(got))
+}
+
+// TestCoordinatorRejectsBadWorkerStates: a worker metrics state is input
+// from another process. One that does not decode, or whose histogram has
+// other buckets than the coordinator's, counts on the scrape-error
+// counter and adds nothing to the fleet sum.
+func TestCoordinatorRejectsBadWorkerStates(t *testing.T) {
+	c, ts := newTestCoordinator(t, CoordConfig{})
+	stateWorker := func(body func(w io.Writer)) {
+		mux := http.NewServeMux()
+		mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+			io.WriteString(w, "ok\n")
+		})
+		mux.HandleFunc("GET /metrics/state", func(w http.ResponseWriter, r *http.Request) { body(w) })
+		srv := httptest.NewServer(mux)
+		t.Cleanup(srv.Close)
+		if err := c.Register(srv.URL); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stateWorker(func(w io.Writer) { io.WriteString(w, "# not json\n") })
+	stateWorker(func(w io.Writer) {
+		st := newMetricsState()
+		st.Submitted = 5
+		st.ScanSeconds.Counts = st.ScanSeconds.Counts[:3]
+		json.NewEncoder(w).Encode(st)
+	})
+
+	_, text := getBody(t, ts.URL+"/metrics")
+	series := parseExposition(t, text)
+	if got := series["nchecker_fleet_scrape_errors_total"]; got != 2 {
+		t.Errorf("nchecker_fleet_scrape_errors_total = %v, want 2", got)
+	}
+	if _, ok := series["nchecker_jobs_submitted_total"]; ok {
+		t.Errorf("a rejected worker state reached the fleet sum:\n%s", text)
 	}
 }

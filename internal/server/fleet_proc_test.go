@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/experiments"
-	"repro/internal/promtext"
 	"repro/internal/report"
 	"repro/internal/testutil"
 )
@@ -205,16 +204,13 @@ func TestFleetProcessCorpusByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := promtext.Parse(metrics)
-	if err != nil {
-		t.Fatalf("aggregated /metrics unparseable: %v", err)
-	}
+	parsed := parseExposition(t, metrics)
 	for _, series := range []string{
 		`nchecker_fleet_jobs_total{status="done"}`,
 		`nchecker_jobs_total{status="done"}`,
 		"nchecker_scan_seconds_count",
 	} {
-		if v, ok := parsed.Value(series); !ok || v < float64(len(apps)) {
+		if v, ok := parsed[series]; !ok || v < float64(len(apps)) {
 			t.Errorf("aggregated /metrics %s = %v (present=%v), want >= %d", series, v, ok, len(apps))
 		}
 	}
@@ -302,14 +298,11 @@ func TestFleetProcessWorkerKilledMidCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := promtext.Parse(metrics)
-	if err != nil {
-		t.Fatalf("aggregated /metrics unparseable after worker death: %v", err)
-	}
-	if v, ok := parsed.Value("nchecker_fleet_workers_down_total"); !ok || v < 1 {
+	parsed := parseExposition(t, metrics)
+	if v, ok := parsed["nchecker_fleet_workers_down_total"]; !ok || v < 1 {
 		t.Errorf("nchecker_fleet_workers_down_total = %v (present=%v), want >= 1", v, ok)
 	}
-	if v, ok := parsed.Value(`nchecker_fleet_jobs_total{status="done"}`); !ok || v != float64(len(apps)) {
+	if v, ok := parsed[`nchecker_fleet_jobs_total{status="done"}`]; !ok || v != float64(len(apps)) {
 		t.Errorf(`nchecker_fleet_jobs_total{status="done"} = %v (present=%v), want %d`, v, ok, len(apps))
 	}
 }

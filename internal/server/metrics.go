@@ -1,7 +1,10 @@
 package server
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -10,127 +13,165 @@ import (
 	"repro/internal/checkers"
 )
 
-// metrics is the server's cumulative observability state, rendered at
-// /metrics in the Prometheus text exposition format. Everything is built
-// by folding per-scan checkers.MetricsSnapshot values (plus job-lifecycle
-// events) into counters and one latency histogram — no client library,
-// just the text format, so the dependency footprint stays zero.
-//
-// The metric catalog (DESIGN.md §8):
-//
-//	nchecker_jobs_submitted_total            jobs accepted into the queue
-//	nchecker_jobs_total{status=...}          terminal outcomes: done, degraded, failed, rejected
-//	nchecker_degraded_scans_total            scans that finished Incomplete
-//	nchecker_reports_total                   warnings emitted across all jobs
-//	nchecker_jobs_inflight                   gauge: jobs currently scanning
-//	nchecker_queue_depth                     gauge: jobs waiting for a worker
-//	nchecker_queue_capacity                  gauge: admission-queue bound
-//	nchecker_scan_seconds                    histogram: end-to-end scan wall time
-//	nchecker_stage_seconds_total{stage=...}  cumulative per-pipeline-stage wall time
-//	nchecker_stage_items_total{stage=...}    work units examined per stage
-//	nchecker_stage_reports_total{stage=...}  warnings emitted per stage
-//	nchecker_checker_warnings_total{family=...,checker=...}
-//	                                         warnings emitted per checker family
-//	                                         (the stage rows restricted to the
-//	                                         eight family-owned stages, labeled
-//	                                         with the family number)
-//	nchecker_app_methods_total               app methods scanned
-//	nchecker_request_sites_total             request sites discovered
-//	nchecker_cache_<counter>_total           every checkers.CacheStats counter
-//	                                         (store_hits, store_misses, store_puts, ...)
-//	nchecker_targeted_<counter>_total        targeted-engine work counters
-//	                                         (seed_methods, closure_methods, closure_classes,
-//	                                         classes_decoded, classes_skipped)
-//	nchecker_validate_<counter>_total        dynamic-validation counters
-//	                                         (confirmed, unconfirmed, not_validated,
-//	                                         replays, budget_hits)
+// metrics is the server's cumulative observability state: per-scan
+// checkers.MetricsSnapshot values and job-lifecycle events folded into
+// counters and one latency histogram. GET /metrics renders it in the
+// Prometheus text exposition format (the catalog is DESIGN.md §8) — no
+// client library, just the text format, so the dependency footprint
+// stays zero.
 type metrics struct {
 	mu sync.Mutex
-
-	submitted int64
-	jobs      map[string]int64 // terminal status → count
-	degraded  int64
-	reports   int64
-	inflight  int64
-
-	appMethods int64
-	sites      int64
-
-	scanHist histogram
-
-	stageSeconds map[string]float64
-	stageItems   map[string]int64
-	stageReports map[string]int64
-	checker      map[string]int64 // family-owned stage name → warnings
-
-	cache    map[string]int64 // CounterMap keys
-	targeted map[string]int64 // TargetedStats counter keys
-	validate map[string]int64 // ValidateStats counter keys
+	st metricsState
 }
 
 func newMetrics() *metrics {
-	return &metrics{
-		jobs:         make(map[string]int64),
-		scanHist:     newHistogram(),
-		stageSeconds: make(map[string]float64),
-		stageItems:   make(map[string]int64),
-		stageReports: make(map[string]int64),
-		checker:      make(map[string]int64),
-		cache:        make(map[string]int64),
-		targeted:     make(map[string]int64),
-		validate:     make(map[string]int64),
+	return &metrics{st: newMetricsState()}
+}
+
+// metricsState is the cumulative state as a plain value. It encodes as
+// JSON, which is how a fleet coordinator fetches it from each worker
+// (GET /metrics/state), and merge sums states, so the coordinator renders
+// the fleet's sum with the same render a worker uses (DESIGN.md §12).
+type metricsState struct {
+	Submitted int64
+	Jobs      map[string]int64 // terminal status → count
+	Degraded  int64
+	Reports   int64
+	Inflight  int64
+	// QueueDepth and QueueCap are gauges whose truth lives in the Server;
+	// they are filled in when the state is rendered or encoded.
+	QueueDepth, QueueCap int64
+
+	AppMethods int64
+	Sites      int64
+
+	ScanSeconds histogram
+
+	StageSeconds map[string]float64
+	StageItems   map[string]int64
+	StageReports map[string]int64
+	Checker      map[string]int64 // family-owned stage name → warnings
+	Counters     map[string]int64 // checkers.Counter name → total
+}
+
+func newMetricsState() metricsState {
+	return metricsState{
+		Jobs:         make(map[string]int64),
+		ScanSeconds:  newHistogram(),
+		StageSeconds: make(map[string]float64),
+		StageItems:   make(map[string]int64),
+		StageReports: make(map[string]int64),
+		Checker:      make(map[string]int64),
+		Counters:     make(map[string]int64),
 	}
 }
 
 // histogram is a fixed-bucket Prometheus histogram (cumulative buckets,
 // _sum and _count).
 type histogram struct {
-	bounds []float64 // upper bounds, ascending; +Inf implicit
-	counts []int64   // per-bucket (non-cumulative) observation counts
-	sum    float64
-	total  int64
+	Bounds []float64 // upper bounds, ascending; +Inf implicit
+	Counts []int64   // per-bucket (non-cumulative) observation counts
+	Sum    float64
+	Total  int64
 }
 
 func newHistogram() histogram {
 	return histogram{
-		bounds: []float64{0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10},
-		counts: make([]int64, 12),
+		Bounds: []float64{0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10},
+		Counts: make([]int64, 12),
 	}
 }
 
 func (h *histogram) observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
-	h.counts[i]++
-	h.sum += v
-	h.total++
+	i := sort.SearchFloat64s(h.Bounds, v) // first bound >= v
+	h.Counts[i]++
+	h.Sum += v
+	h.Total++
+}
+
+// merge adds o into s: counters, gauges and histogram buckets all add. o
+// may come from another process, so it is checked before anything is
+// added: a histogram with other buckets than s's is an error and leaves
+// s unchanged, and checker warnings count only under family-owned stages.
+func (s *metricsState) merge(o *metricsState) error {
+	if !slices.Equal(o.ScanSeconds.Bounds, s.ScanSeconds.Bounds) ||
+		len(o.ScanSeconds.Counts) != len(s.ScanSeconds.Counts) {
+		return errors.New("scan_seconds histogram buckets differ")
+	}
+	s.Submitted += o.Submitted
+	s.Degraded += o.Degraded
+	s.Reports += o.Reports
+	s.Inflight += o.Inflight
+	s.QueueDepth += o.QueueDepth
+	s.QueueCap += o.QueueCap
+	s.AppMethods += o.AppMethods
+	s.Sites += o.Sites
+	for i, n := range o.ScanSeconds.Counts {
+		s.ScanSeconds.Counts[i] += n
+	}
+	s.ScanSeconds.Sum += o.ScanSeconds.Sum
+	s.ScanSeconds.Total += o.ScanSeconds.Total
+	addInto(s.Jobs, o.Jobs)
+	addInto(s.StageSeconds, o.StageSeconds)
+	addInto(s.StageItems, o.StageItems)
+	addInto(s.StageReports, o.StageReports)
+	for st, n := range o.Checker {
+		if checkers.FamilyOfStage(st) > 0 {
+			s.Checker[st] += n
+		}
+	}
+	addInto(s.Counters, o.Counters)
+	return nil
+}
+
+func addInto[V int64 | float64](dst, src map[string]V) {
+	for k, v := range src {
+		dst[k] += v
+	}
+}
+
+// render renders the cumulative state with the queue gauges filled in.
+func (m *metrics) render(queueDepth, queueCap int) string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.st.QueueDepth, m.st.QueueCap = int64(queueDepth), int64(queueCap)
+	return m.st.render()
+}
+
+// stateJSON encodes the cumulative state with the queue gauges filled in.
+func (m *metrics) stateJSON(queueDepth, queueCap int) ([]byte, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.st.QueueDepth, m.st.QueueCap = int64(queueDepth), int64(queueCap)
+	return json.Marshal(&m.st)
 }
 
 // jobSubmitted counts an accepted job.
 func (m *metrics) jobSubmitted() {
 	m.mu.Lock()
-	m.submitted++
+	m.st.Submitted++
 	m.mu.Unlock()
 }
 
 // jobRejected counts an admission-queue rejection.
 func (m *metrics) jobRejected() {
 	m.mu.Lock()
-	m.jobs["rejected"]++
+	m.st.Jobs["rejected"]++
 	m.mu.Unlock()
 }
 
-// scanStarted / scanFinished bracket the in-flight gauge.
+// scanStarted brackets the in-flight gauge with jobFailed / jobDone.
 func (m *metrics) scanStarted() {
 	m.mu.Lock()
-	m.inflight++
+	m.st.Inflight++
 	m.mu.Unlock()
 }
 
 // jobFailed records a job that produced no scan result (decode error).
 func (m *metrics) jobFailed() {
 	m.mu.Lock()
-	m.inflight--
-	m.jobs["failed"]++
+	m.st.Inflight--
+	m.st.Jobs["failed"]++
 	m.mu.Unlock()
 }
 
@@ -138,34 +179,27 @@ func (m *metrics) jobFailed() {
 func (m *metrics) jobDone(snap checkers.MetricsSnapshot, degraded bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.inflight--
+	s := &m.st
+	s.Inflight--
 	if degraded {
-		m.jobs["degraded"]++
-		m.degraded++
+		s.Jobs["degraded"]++
+		s.Degraded++
 	} else {
-		m.jobs["done"]++
+		s.Jobs["done"]++
 	}
-	m.reports += snap.Reports
-	m.appMethods += snap.AppMethods
-	m.sites += snap.Sites
-	m.scanHist.observe(snap.TotalSeconds)
-	for _, s := range snap.Stages {
-		m.stageSeconds[s.Name] += s.Seconds
-		m.stageItems[s.Name] += s.Items
-		m.stageReports[s.Name] += s.Reports
-		if checkers.FamilyOfStage(s.Name) > 0 {
-			m.checker[s.Name] += s.Reports
+	s.Reports += snap.Reports
+	s.AppMethods += snap.AppMethods
+	s.Sites += snap.Sites
+	s.ScanSeconds.observe(snap.TotalSeconds)
+	for _, st := range snap.Stages {
+		s.StageSeconds[st.Name] += st.Seconds
+		s.StageItems[st.Name] += st.Items
+		s.StageReports[st.Name] += st.Reports
+		if checkers.FamilyOfStage(st.Name) > 0 {
+			s.Checker[st.Name] += st.Reports
 		}
 	}
-	for k, v := range snap.Counters {
-		m.cache[k] += v
-	}
-	for k, v := range snap.Targeted {
-		m.targeted[k] += v
-	}
-	for k, v := range snap.Validate {
-		m.validate[k] += v
-	}
+	addInto(s.Counters, snap.Counters)
 }
 
 // fnum renders a float the way Prometheus expects (shortest round-trip).
@@ -173,12 +207,10 @@ func fnum(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// render emits the Prometheus text exposition. Gauges whose truth lives in
-// the server (queue depth/capacity) are passed in. Output is
-// deterministic: map-keyed families are emitted in sorted label order.
-func (m *metrics) render(queueDepth, queueCap int) string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// render emits the Prometheus text exposition. Output is deterministic:
+// map-keyed families are emitted in sorted label order, the scan counters
+// in checkers.Counters order.
+func (s *metricsState) render() string {
 	var b strings.Builder
 
 	counter := func(name, help string, v int64) {
@@ -188,74 +220,60 @@ func (m *metrics) render(queueDepth, queueCap int) string {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
 	}
 
-	counter("nchecker_jobs_submitted_total", "Scan jobs accepted into the admission queue.", m.submitted)
+	counter("nchecker_jobs_submitted_total", "Scan jobs accepted into the admission queue.", s.Submitted)
 
 	fmt.Fprintf(&b, "# HELP nchecker_jobs_total Scan jobs by terminal status.\n# TYPE nchecker_jobs_total counter\n")
-	for _, st := range sortedKeys(m.jobs) {
-		fmt.Fprintf(&b, "nchecker_jobs_total{status=%q} %d\n", st, m.jobs[st])
+	for _, st := range sortedKeys(s.Jobs) {
+		fmt.Fprintf(&b, "nchecker_jobs_total{status=%q} %d\n", st, s.Jobs[st])
 	}
 
-	counter("nchecker_degraded_scans_total", "Scans that finished Incomplete (stage panic, deadline, cancellation).", m.degraded)
-	counter("nchecker_reports_total", "Warning reports emitted across all jobs.", m.reports)
-	gauge("nchecker_jobs_inflight", "Jobs currently being scanned.", m.inflight)
-	gauge("nchecker_queue_depth", "Jobs waiting in the admission queue.", int64(queueDepth))
-	gauge("nchecker_queue_capacity", "Admission queue bound.", int64(queueCap))
+	counter("nchecker_degraded_scans_total", "Scans that finished Incomplete (stage panic, deadline, cancellation).", s.Degraded)
+	counter("nchecker_reports_total", "Warning reports emitted across all jobs.", s.Reports)
+	gauge("nchecker_jobs_inflight", "Jobs currently being scanned.", s.Inflight)
+	gauge("nchecker_queue_depth", "Jobs waiting in the admission queue.", s.QueueDepth)
+	gauge("nchecker_queue_capacity", "Admission queue bound.", s.QueueCap)
 
+	h := s.ScanSeconds
 	fmt.Fprintf(&b, "# HELP nchecker_scan_seconds End-to-end scan wall time per job.\n# TYPE nchecker_scan_seconds histogram\n")
 	cum := int64(0)
-	for i, bound := range m.scanHist.bounds {
-		cum += m.scanHist.counts[i]
+	for i, bound := range h.Bounds {
+		cum += h.Counts[i]
 		fmt.Fprintf(&b, "nchecker_scan_seconds_bucket{le=%q} %d\n", fnum(bound), cum)
 	}
-	cum += m.scanHist.counts[len(m.scanHist.bounds)]
+	cum += h.Counts[len(h.Bounds)]
 	fmt.Fprintf(&b, "nchecker_scan_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-	fmt.Fprintf(&b, "nchecker_scan_seconds_sum %s\n", fnum(m.scanHist.sum))
-	fmt.Fprintf(&b, "nchecker_scan_seconds_count %d\n", m.scanHist.total)
+	fmt.Fprintf(&b, "nchecker_scan_seconds_sum %s\n", fnum(h.Sum))
+	fmt.Fprintf(&b, "nchecker_scan_seconds_count %d\n", h.Total)
 
 	fmt.Fprintf(&b, "# HELP nchecker_stage_seconds_total Cumulative wall time per pipeline stage.\n# TYPE nchecker_stage_seconds_total counter\n")
-	for _, st := range sortedKeysF(m.stageSeconds) {
-		fmt.Fprintf(&b, "nchecker_stage_seconds_total{stage=%q} %s\n", st, fnum(m.stageSeconds[st]))
+	for _, st := range sortedKeys(s.StageSeconds) {
+		fmt.Fprintf(&b, "nchecker_stage_seconds_total{stage=%q} %s\n", st, fnum(s.StageSeconds[st]))
 	}
 	fmt.Fprintf(&b, "# HELP nchecker_stage_items_total Work units examined per pipeline stage.\n# TYPE nchecker_stage_items_total counter\n")
-	for _, st := range sortedKeys(m.stageItems) {
-		fmt.Fprintf(&b, "nchecker_stage_items_total{stage=%q} %d\n", st, m.stageItems[st])
+	for _, st := range sortedKeys(s.StageItems) {
+		fmt.Fprintf(&b, "nchecker_stage_items_total{stage=%q} %d\n", st, s.StageItems[st])
 	}
 	fmt.Fprintf(&b, "# HELP nchecker_stage_reports_total Warnings emitted per pipeline stage.\n# TYPE nchecker_stage_reports_total counter\n")
-	for _, st := range sortedKeys(m.stageReports) {
-		fmt.Fprintf(&b, "nchecker_stage_reports_total{stage=%q} %d\n", st, m.stageReports[st])
+	for _, st := range sortedKeys(s.StageReports) {
+		fmt.Fprintf(&b, "nchecker_stage_reports_total{stage=%q} %d\n", st, s.StageReports[st])
 	}
 
 	fmt.Fprintf(&b, "# HELP nchecker_checker_warnings_total Warnings emitted per checker family.\n# TYPE nchecker_checker_warnings_total counter\n")
-	for _, st := range sortedKeys(m.checker) {
+	for _, st := range sortedKeys(s.Checker) {
 		fmt.Fprintf(&b, "nchecker_checker_warnings_total{family=\"%d\",checker=%q} %d\n",
-			checkers.FamilyOfStage(st), st, m.checker[st])
+			checkers.FamilyOfStage(st), st, s.Checker[st])
 	}
 
-	counter("nchecker_app_methods_total", "Body-bearing app methods scanned.", m.appMethods)
-	counter("nchecker_request_sites_total", "Network request sites discovered.", m.sites)
+	counter("nchecker_app_methods_total", "Body-bearing app methods scanned.", s.AppMethods)
+	counter("nchecker_request_sites_total", "Network request sites discovered.", s.Sites)
 
-	for _, k := range sortedKeys(m.cache) {
-		counter("nchecker_cache_"+k+"_total", "Cumulative checkers.CacheStats counter "+k+".", m.cache[k])
-	}
-	for _, k := range sortedKeys(m.targeted) {
-		counter("nchecker_targeted_"+k+"_total", "Cumulative targeted-engine counter "+k+".", m.targeted[k])
-	}
-	for _, k := range sortedKeys(m.validate) {
-		counter("nchecker_validate_"+k+"_total", "Cumulative dynamic-validation counter "+k+".", m.validate[k])
+	for _, c := range checkers.Counters {
+		counter("nchecker_"+c.Layer+"_"+c.Name+"_total", c.Help, s.Counters[c.Name])
 	}
 	return b.String()
 }
 
-func sortedKeys(m map[string]int64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedKeysF(m map[string]float64) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)

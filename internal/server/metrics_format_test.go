@@ -2,29 +2,26 @@ package server
 
 import (
 	"flag"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/promtext"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata goldens")
 
 // TestMetricsFormatStability is the /metrics format contract: after a
 // run that exercises every job path (done, degraded, failed, targeted,
-// validated, rejected, cache hit), the endpoint must parse as well-formed
-// Prometheus text 0.0.4 and expose exactly the series identities recorded
-// in testdata/metrics_series.golden. Fleet aggregation (promtext.Sum on
-// the coordinator) and operator dashboards key on these identities — a
-// renamed or dropped series is a breaking change that must show up in
+// validated, cache hit), the endpoint must be well-formed Prometheus text
+// 0.0.4 and expose exactly the series identities recorded in
+// testdata/metrics_series.golden. Operator dashboards key on these
+// identities, and the coordinator's fleet sum renders the same series —
+// a renamed or dropped series is a breaking change that must show up in
 // review as a golden diff, not as a silent dashboard gap.
 //
 // Values are deliberately not asserted here (timings vary); the golden
-// pins names, labels, and the sorted order the parser reports them in.
+// pins names and labels, sorted.
 // Regenerate with: go test ./internal/server -run TestMetricsFormatStability -update
 func TestMetricsFormatStability(t *testing.T) {
 	app := fixtureAppBytes(t)
@@ -46,33 +43,10 @@ func TestMetricsFormatStability(t *testing.T) {
 	await(t, ts, submit(t, ts, app, "?timeout=1ns"))
 
 	_, metricsText := getBody(t, ts.URL+"/metrics")
-	parsed, err := promtext.Parse(metricsText)
-	if err != nil {
-		t.Fatalf("/metrics does not parse as Prometheus text 0.0.4: %v", err)
-	}
-	got := strings.Join(parsed.SeriesNames(), "\n") + "\n"
+	checkGolden(t, "metrics_series.golden", seriesSet(parseExposition(t, metricsText)))
 
-	goldenPath := filepath.Join("testdata", "metrics_series.golden")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("read golden (regenerate with -update): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("/metrics series set drifted from testdata/metrics_series.golden.\n"+
-			"If the change is intentional, regenerate with -update and call it out in review.\n%s",
-			diffLines(string(want), got))
-	}
-
-	// The histogram bucket ordering must be numeric (promtext renders and
-	// the server must emit le="0.005" before le="+Inf").
+	// The histogram buckets must be emitted in numeric order: le="0.005"
+	// before le="+Inf".
 	if i5, iInf := strings.Index(metricsText, `le="0.005"`), strings.Index(metricsText, `le="+Inf"`); i5 < 0 || iInf < 0 || i5 > iInf {
 		t.Error("scan histogram buckets not in numeric order")
 	}
@@ -126,9 +100,7 @@ func TestMetricsParseableEveryRequest(t *testing.T) {
 		default:
 		}
 		_, metricsText := getBody(t, ts.URL+"/metrics")
-		if _, err := promtext.Parse(metricsText); err != nil {
-			t.Fatalf("mid-run /metrics unparseable: %v", err)
-		}
+		parseExposition(t, metricsText)
 		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -19,7 +19,7 @@
 // Observability: GET /metrics exports Prometheus-text counters and
 // histograms folded from each scan's core.Diagnostics (per-stage timings,
 // analysis/persistent-cache counters, queue depth, jobs in flight,
-// degraded-scan count — see metrics.go for the catalog), GET /healthz is
+// degraded-scan count — DESIGN.md §8 has the catalog), GET /healthz is
 // the liveness probe, net/http/pprof is mounted under /debug/pprof/, and
 // every job lifecycle event is logged structurally via log/slog.
 package server
@@ -247,6 +247,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /scans", s.handleList)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.HandleFunc("GET /metrics/state", s.handleMetricsState)
 	// pprof must be mounted explicitly on a non-default mux.
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -127,6 +127,19 @@ func (s *Server) handleScanSync(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(&job)
 }
 
+// handleMetricsState answers the worker's cumulative metrics as JSON —
+// the state its /metrics renders. The coordinator sums these states
+// across its live workers for its own /metrics.
+func (s *Server) handleMetricsState(w http.ResponseWriter, r *http.Request) {
+	data, err := s.metrics.stateJSON(len(s.queue), cap(s.queue))
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(data)
+}
+
 // FleetJoin configures a worker's membership in a fleet.
 type FleetJoin struct {
 	// Coord is the coordinator's base URL (e.g. "http://127.0.0.1:9000").

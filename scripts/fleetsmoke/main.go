@@ -80,18 +80,26 @@ func main() {
 	}
 	fmt.Printf("fleetsmoke: %d apps scanned across %d workers\n", flag.NArg(), len(byWorker))
 
-	// The fleet counters must be on the aggregated /metrics.
+	// The aggregated /metrics must account for every app exactly once: in
+	// the coordinator's own counters and in the sum of the workers'
+	// metrics. The smoke runs without hedging, so no scan runs twice.
 	metrics, err := client.Metrics()
 	if err != nil {
 		fail("%v", err)
 	}
+	lines := map[string]bool{}
+	for _, line := range strings.Split(metrics, "\n") {
+		lines[line] = true
+	}
+	n := flag.NArg()
 	for _, want := range []string{
-		`nchecker_fleet_jobs_total{status="done"}`,
-		"nchecker_fleet_workers_live 2",
-		"nchecker_scan_seconds_count", // summed from the workers
+		fmt.Sprintf(`nchecker_fleet_jobs_total{status="done"} %d`, n),
+		fmt.Sprintf("nchecker_fleet_workers_live %d", *workers),
+		fmt.Sprintf(`nchecker_jobs_total{status="done"} %d`, n),
+		fmt.Sprintf("nchecker_scan_seconds_count %d", n),
 	} {
-		if !strings.Contains(metrics, want) {
-			fail("/metrics missing %q:\n%s", want, metrics)
+		if !lines[want] {
+			fail("/metrics lacks the line %q:\n%s", want, metrics)
 		}
 	}
 
